@@ -18,29 +18,31 @@ matching how retrieval quality is judged downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .features import EncodedBatch, FeaturePipeline
+from .labels import RETRIEVAL_LEVEL
 from .nn import (
-    TrunkSpec,
-    clone_params,
+    FULL_SCALE_HIDDEN,
+    TrunkModel,
+    build_trunk_model,
     ensure_finite,
-    init_dense,
-    init_trunk,
+    fit_epochs,
+    holdout_split,
     sgd_update,
     sigmoid,
     softplus,
     trunk_backward,
     trunk_forward,
+    validate_trunk_config,
 )
 from .s2geom import GeoRect, cell_centers_vec, cover_rect_raw
 
-DTYPES = {"float32": np.float32, "float64": np.float64}
-
-RETRIEVAL_LEVEL = 11
+# Seed stream of the bounds regressor; the shard classifiers use 0..2.
+BOUNDS_STREAM = 3
 
 MIN_EXTENT_DEG = 1e-4
 
@@ -65,39 +67,15 @@ class BoundsConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.embed_dim < 1:
-            raise ConfigError("embed_dim must be >= 1")
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ConfigError("hidden widths must be >= 1")
-        if not (0 < self.learning_rate < 1):
-            raise ConfigError("learning_rate must lie in (0, 1)")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        validate_trunk_config(self)
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
         if self.beta < 0:
             raise ConfigError("beta must be >= 0")
-        if self.dtype not in DTYPES:
-            raise ConfigError(f"dtype must be one of {sorted(DTYPES)}")
 
 
 def full_scale_bounds_config(base: BoundsConfig) -> BoundsConfig:
-    return BoundsConfig(
-        embed_dim=base.embed_dim,
-        hidden=(1024, 2056, 1024, 256),
-        learning_rate=base.learning_rate,
-        epochs=base.epochs,
-        patience=base.patience,
-        batch_size=base.batch_size,
-        alpha=base.alpha,
-        beta=base.beta,
-        seed=base.seed,
-        dtype=base.dtype,
-    )
+    return replace(base, hidden=FULL_SCALE_HIDDEN)
 
 
 def destination_coords(batch: EncodedBatch, destinations) -> np.ndarray:
@@ -157,35 +135,12 @@ def bounds_loss_and_grads(params, spec, categorical, continuous, targets,
     return loss, grads, (miss_term, size_term)
 
 
-class BoundsModel:
+class BoundsModel(TrunkModel):
     """Trainable bounds regressor over one dataset (not sharded)."""
-
-    def __init__(self, config, spec, params, rng, trained=False, train_log=None):
-        self.config = config
-        self.spec = spec
-        self.params = params
-        self._rng = rng
-        self.trained = trained
-        self.train_log = [] if train_log is None else train_log
-        self.best_epoch = -1
 
     @classmethod
     def build(cls, config: BoundsConfig, pipeline: FeaturePipeline):
-        emb_names = pipeline.categorical_names
-        sizes = pipeline.vocab_sizes()
-        spec = TrunkSpec(
-            emb_names=emb_names,
-            emb_rows=tuple(sizes[name] for name in emb_names),
-            emb_dim=config.embed_dim,
-            n_continuous=pipeline.n_continuous(),
-            hidden=tuple(config.hidden),
-        )
-        dtype = DTYPES[config.dtype]
-        # Stream index 3 keeps this rng distinct from the shard
-        # classifiers, which use indices 0..2.
-        rng = np.random.default_rng((config.seed, 3))
-        params = init_trunk(rng, spec, dtype)
-        params["out_w"], params["out_b"] = init_dense(rng, spec.output_dim, 4, dtype)
+        spec, params, rng = build_trunk_model(config, pipeline, 4, BOUNDS_STREAM)
         return cls(config, spec, params, rng)
 
     def train_step(self, categorical, continuous, targets):
@@ -206,58 +161,22 @@ class BoundsModel:
 
     def fit(self, batch: EncodedBatch, targets: np.ndarray):
         """Mini-batch SGD with a 10% validation holdout and best-epoch
-        restore, mirroring the classifier's loop."""
-        cfg = self.config
-        rng = self._rng
-        n = targets.shape[0]
-        if n != len(batch):
+        restore: the same loop as the classifier's."""
+        if targets.shape[0] != len(batch):
             raise DataError("targets and batch rows disagree")
-        if n < 2:
-            raise DataError("need at least 2 events to split off validation")
-        perm = rng.permutation(n)
-        n_val = max(1, int(round(0.1 * n)))
-        val_idx, train_idx = perm[:n_val], perm[n_val:]
-        log: list[dict] = []
-        self.train_log = log
-        best = np.inf
-        best_params = None
-        bad_epochs = 0
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(train_idx.size)
-            losses, misses, sizes = [], [], []
-            for start in range(0, order.size, cfg.batch_size):
-                rows = train_idx[order[start : start + cfg.batch_size]]
-                loss, (miss, size) = self.train_step(
-                    batch.categorical[rows], batch.continuous[rows], targets[rows]
-                )
-                losses.append(loss)
-                misses.append(miss)
-                sizes.append(size)
-            val_loss = self.eval_loss(batch.take(val_idx), targets[val_idx])[0]
-            if not np.isfinite(val_loss):
-                raise NumericError("bounds validation loss diverged", log=log)
-            log.append(
-                {
-                    "epoch": epoch,
-                    "train_loss": float(np.mean(losses)),
-                    "train_miss": float(np.mean(misses)),
-                    "train_size": float(np.mean(sizes)),
-                    "val_loss": val_loss,
-                }
+        train_rows, val_rows = holdout_split(self.rng, targets.shape[0])
+        val, val_targets = batch.take(val_rows), targets[val_rows]
+
+        def step(rows):
+            loss, (miss, size) = self.train_step(
+                batch.categorical[rows], batch.continuous[rows], targets[rows]
             )
-            if val_loss < best:
-                best = val_loss
-                best_params = clone_params(self.params)
-                self.best_epoch = epoch
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= cfg.patience:
-                    break
-        if best_params is not None:
-            self.params = best_params
-        self.trained = True
-        return log
+            return {"train_loss": loss, "train_miss": miss, "train_size": size}
+
+        def validate(epoch):
+            return {"val_loss": self.eval_loss(val, val_targets)[0]}
+
+        return fit_epochs(self, train_rows, step, validate, "val_loss")
 
     def eval_loss(self, batch: EncodedBatch, targets: np.ndarray):
         """(loss, miss_term, size_term) without touching parameters."""
@@ -281,10 +200,7 @@ class BoundsModel:
 
     def predict_offsets(self, batch: EncodedBatch):
         """(pred_off, half) arrays in degrees, (N, 2) each."""
-        h, _ = trunk_forward(
-            self.params, self.spec, batch.categorical, batch.continuous
-        )
-        out = h @ self.params["out_w"] + self.params["out_b"]
+        out = self.head_outputs(batch.categorical, batch.continuous)
         ensure_finite("bounds outputs", out)
         return out[:, :2].astype(np.float64), (
             softplus(out[:, 2:].astype(np.float64)) + MIN_EXTENT_DEG

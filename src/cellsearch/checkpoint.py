@@ -19,14 +19,15 @@ Payloads are always float32 regardless of the in-memory dtype.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .baseline import BoundsConfig, BoundsModel
+from .baseline import BOUNDS_STREAM, BoundsConfig, BoundsModel
 from .errors import ConfigError, DataError
 from .features import SHARDS
-from .model import DTYPES, ShardModel, TrainConfig
-from .nn import TrunkSpec
+from .model import ShardModel, TrainConfig
+from .nn import DTYPES, TrunkSpec
 
 MAGIC = "cellsearch-checkpoint"
 FORMAT_VERSION = 1
@@ -118,142 +119,83 @@ def load_checkpoint(path):
     return kind, config, tensors
 
 
+def _config_echo(model, **extra) -> dict:
+    """The header's config object: every hyperparameter, the trained flag
+    and the trunk shapes, plus the kind's own fields."""
+    echo = asdict(model.config)
+    echo["hidden"] = list(model.config.hidden)
+    echo.update(
+        trained=model.trained,
+        categorical_features=list(model.spec.emb_names),
+        emb_rows=list(model.spec.emb_rows),
+        n_continuous=model.spec.n_continuous,
+        **extra,
+    )
+    return echo
+
+
 def model_config_echo(model: ShardModel) -> dict:
-    cfg = model.config
-    return {
-        "shard": model.shard,
-        "embed_dim": cfg.embed_dim,
-        "hidden": list(cfg.hidden),
-        "learning_rate": cfg.learning_rate,
-        "epochs": cfg.epochs,
-        "patience": cfg.patience,
-        "batch_size": cfg.batch_size,
-        "num_negatives": cfg.num_negatives,
-        "seed": cfg.seed,
-        "dtype": cfg.dtype,
-        "trained": model.trained,
-        "n_classes": model.n_classes,
-        "categorical_features": list(model.spec.emb_names),
-        "emb_rows": list(model.spec.emb_rows),
-        "n_continuous": model.spec.n_continuous,
-    }
+    return _config_echo(model, shard=model.shard, n_classes=model.n_classes)
 
 
 def save_model(path, model: ShardModel):
     save_checkpoint(path, "cell_classifier", model_config_echo(model), model.params)
 
 
-def load_model(path, vocab) -> ShardModel:
-    """Rebuild a classifier from a checkpoint plus its label vocabulary."""
-    kind, config, tensors = load_checkpoint(path)
-    if kind != "cell_classifier":
-        raise DataError(f"expected a cell_classifier checkpoint, got {kind!r}")
+def save_baseline(path, model: BoundsModel):
+    save_checkpoint(path, "bounds_regressor", _config_echo(model), model.params)
+
+
+def _load_trunk_model(path, kind: str, config_cls, stream: int, n_outputs: int, **expected):
+    """(config, spec, params, rng, trained) of a checkpoint of the given
+    kind whose output layer has n_outputs columns. Each keyword names a
+    header echo field that must hold the given value. The rng is seeded
+    like the built model's, from the config seed and the stream index."""
+    found, echo, tensors = load_checkpoint(path)
+    if found != kind:
+        raise DataError(f"expected a {kind} checkpoint, got {found!r}")
     try:
-        train_cfg = TrainConfig(
-            embed_dim=config["embed_dim"],
-            hidden=tuple(config["hidden"]),
-            learning_rate=config["learning_rate"],
-            epochs=config["epochs"],
-            patience=config["patience"],
-            batch_size=config["batch_size"],
-            num_negatives=config["num_negatives"],
-            seed=config["seed"],
-            dtype=config["dtype"],
-        )
+        values = {f.name: echo[f.name] for f in fields(config_cls)}
+        config = config_cls(**dict(values, hidden=tuple(echo["hidden"])))
         spec = TrunkSpec(
-            emb_names=tuple(config["categorical_features"]),
-            emb_rows=tuple(config["emb_rows"]),
-            emb_dim=config["embed_dim"],
-            n_continuous=config["n_continuous"],
-            hidden=tuple(config["hidden"]),
+            emb_names=tuple(echo["categorical_features"]),
+            emb_rows=tuple(echo["emb_rows"]),
+            emb_dim=echo["embed_dim"],
+            n_continuous=echo["n_continuous"],
+            hidden=tuple(echo["hidden"]),
         )
-        shard = config["shard"]
-        n_classes = config["n_classes"]
-        trained = bool(config["trained"])
+        trained = bool(echo["trained"])
+        for key, value in expected.items():
+            if echo[key] != value:
+                raise DataError(f"checkpoint has {key} {echo[key]!r}, expected {value!r}")
     except KeyError as e:
         raise DataError(f"checkpoint config is missing {e}") from None
-    if vocab.shard != shard:
-        raise DataError(
-            f"checkpoint is for shard {shard!r}, vocabulary is {vocab.shard!r}"
-        )
-    if len(vocab) != n_classes:
-        raise DataError(
-            f"checkpoint has {n_classes} classes, vocabulary has {len(vocab)}"
-        )
-    expected = spec.param_names() + ["out_w", "out_b"]
-    if list(tensors) != expected:
+    if list(tensors) != spec.param_names() + ["out_w", "out_b"]:
         raise DataError("checkpoint tensors do not match the model layout")
-    dtype = DTYPES[train_cfg.dtype]
+    dtype = DTYPES[config.dtype]
     params = {name: tensors[name].astype(dtype) for name in tensors}
     shapes_ok = (
-        params["out_w"].shape == (spec.output_dim, n_classes)
-        and params["out_b"].shape == (n_classes,)
+        params["out_w"].shape == (spec.output_dim, n_outputs)
+        and params["out_b"].shape == (n_outputs,)
         and params["w1"].shape == (spec.input_dim, spec.hidden[0])
     )
     if not shapes_ok:
         raise DataError("checkpoint tensor shapes do not match the model layout")
-    shard_index = SHARDS.index(shard) if shard in SHARDS else 0
-    rng = np.random.default_rng((train_cfg.seed, shard_index))
-    return ShardModel(train_cfg, spec, vocab, params, rng, trained=trained)
+    return config, spec, params, np.random.default_rng((config.seed, stream)), trained
 
 
-def baseline_config_echo(model: BoundsModel) -> dict:
-    cfg = model.config
-    return {
-        "embed_dim": cfg.embed_dim,
-        "hidden": list(cfg.hidden),
-        "learning_rate": cfg.learning_rate,
-        "epochs": cfg.epochs,
-        "patience": cfg.patience,
-        "batch_size": cfg.batch_size,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "seed": cfg.seed,
-        "dtype": cfg.dtype,
-        "trained": model.trained,
-        "categorical_features": list(model.spec.emb_names),
-        "emb_rows": list(model.spec.emb_rows),
-        "n_continuous": model.spec.n_continuous,
-    }
-
-
-def save_baseline(path, model: BoundsModel):
-    save_checkpoint(path, "bounds_regressor", baseline_config_echo(model), model.params)
+def load_model(path, vocab) -> ShardModel:
+    """Rebuild a classifier from a checkpoint plus its label vocabulary."""
+    stream = SHARDS.index(vocab.shard) if vocab.shard in SHARDS else 0
+    config, spec, params, rng, trained = _load_trunk_model(
+        path, "cell_classifier", TrainConfig, stream, len(vocab),
+        shard=vocab.shard, n_classes=len(vocab),
+    )
+    return ShardModel(config, spec, vocab, params, rng, trained=trained)
 
 
 def load_baseline(path) -> BoundsModel:
-    kind, config, tensors = load_checkpoint(path)
-    if kind != "bounds_regressor":
-        raise DataError(f"expected a bounds_regressor checkpoint, got {kind!r}")
-    try:
-        bounds_cfg = BoundsConfig(
-            embed_dim=config["embed_dim"],
-            hidden=tuple(config["hidden"]),
-            learning_rate=config["learning_rate"],
-            epochs=config["epochs"],
-            patience=config["patience"],
-            batch_size=config["batch_size"],
-            alpha=config["alpha"],
-            beta=config["beta"],
-            seed=config["seed"],
-            dtype=config["dtype"],
-        )
-        spec = TrunkSpec(
-            emb_names=tuple(config["categorical_features"]),
-            emb_rows=tuple(config["emb_rows"]),
-            emb_dim=config["embed_dim"],
-            n_continuous=config["n_continuous"],
-            hidden=tuple(config["hidden"]),
-        )
-        trained = bool(config["trained"])
-    except KeyError as e:
-        raise DataError(f"checkpoint config is missing {e}") from None
-    expected = spec.param_names() + ["out_w", "out_b"]
-    if list(tensors) != expected:
-        raise DataError("checkpoint tensors do not match the model layout")
-    dtype = DTYPES[bounds_cfg.dtype]
-    params = {name: tensors[name].astype(dtype) for name in tensors}
-    if params["out_w"].shape != (spec.output_dim, 4) or params["out_b"].shape != (4,):
-        raise DataError("checkpoint tensor shapes do not match the model layout")
-    rng = np.random.default_rng((bounds_cfg.seed, 3))
-    return BoundsModel(bounds_cfg, spec, params, rng, trained=trained)
+    config, spec, params, rng, trained = _load_trunk_model(
+        path, "bounds_regressor", BoundsConfig, BOUNDS_STREAM, 4
+    )
+    return BoundsModel(config, spec, params, rng, trained=trained)

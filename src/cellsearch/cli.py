@@ -129,35 +129,43 @@ def cmd_gen(run: cfg.RunConfig, args) -> int:
 
 
 def cmd_train(run: cfg.RunConfig, args) -> int:
+    """Fits everything before writing anything, so a failed fit leaves no
+    partial set of artifacts behind."""
     world, train_events, _ = load_dataset(run.require_data())
     pipeline = fit_pipeline(train_events, world.destinations)
-    os.makedirs(run.workdir, exist_ok=True)
-    save_pipeline(run.path(cfg.PIPELINE_FILE), pipeline)
-    print(f"wrote {run.path(cfg.PIPELINE_FILE)}")
-
     batches = encode_events(train_events, world.destinations, pipeline)
-    for shard in SHARDS:
-        batch = batches[shard]
-        vocab = build_vocab(shard, batch.booked_cells)
-        save_vocab(run.path(cfg.vocab_file(shard)), vocab)
-        model = ShardModel.build(run.train, pipeline, vocab)
-        log = model.fit(batch)
-        save_model(run.path(cfg.model_file(shard)), model)
-        best = log[model.best_epoch]
-        print(
-            f"shard {shard}: events {len(batch)} classes {len(vocab)} "
-            f"epochs {len(log)} best_val_ce {best['val_ce']:.6f}"
-        )
+    vocabs = {shard: build_vocab(shard, batches[shard].booked_cells) for shard in SHARDS}
+    for shard, vocab in vocabs.items():
+        if run.train.num_negatives >= len(vocab):
+            raise ConfigError(
+                f"train.num_negatives={run.train.num_negatives} must be below the "
+                f"K={len(vocab)} classes of shard {shard}"
+            )
 
+    models = {}
+    for shard in SHARDS:
+        models[shard] = ShardModel.build(run.train, pipeline, vocabs[shard])
+        models[shard].fit(batches[shard])
     merged = merge_batches([batches[s] for s in SHARDS])
     coords = destination_coords(merged, world.destinations)
     bmodel = BoundsModel.build(run.bounds, pipeline)
-    blog = bmodel.fit(merged, offset_targets(merged, coords))
-    save_baseline(run.path(cfg.BASELINE_FILE), bmodel)
-    bbest = blog[bmodel.best_epoch]
-    print(f"baseline: epochs {len(blog)} best_val_loss {bbest['val_loss']:.6f}")
-
+    bmodel.fit(merged, offset_targets(merged, coords))
     index = ListingIndex.build(world.listings)
+
+    os.makedirs(run.workdir, exist_ok=True)
+    save_pipeline(run.path(cfg.PIPELINE_FILE), pipeline)
+    print(f"wrote {run.path(cfg.PIPELINE_FILE)}")
+    for shard, model in models.items():
+        save_vocab(run.path(cfg.vocab_file(shard)), model.vocab)
+        save_model(run.path(cfg.model_file(shard)), model)
+        best = model.train_log[model.best_epoch]
+        print(
+            f"shard {shard}: events {len(batches[shard])} classes {len(model.vocab)} "
+            f"epochs {len(model.train_log)} best_val_ce {best['val_ce']:.6f}"
+        )
+    save_baseline(run.path(cfg.BASELINE_FILE), bmodel)
+    bbest = bmodel.train_log[bmodel.best_epoch]
+    print(f"baseline: epochs {len(bmodel.train_log)} best_val_loss {bbest['val_loss']:.6f}")
     save_index(run.path(cfg.INDEX_FILE), index, cfg.LISTINGS_REF)
     print(f"indexed {index.n_active} active listings across {index.posting_cells.size} cells")
     return 0

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .labels import RETRIEVAL_LEVEL
 from .s2geom import GeoRect, cells_from_latlng_vec
-
-RETRIEVAL_LEVEL = 11
 
 CONTINENTS = ("EU", "AMER", "OTHER")
 CONTINENT_BOXES = {
@@ -158,12 +157,6 @@ class World:
             lat = np.array([l.lat for l in self.listings])
             lng = np.array([l.lng for l in self.listings])
             self.listing_cells = cells_from_latlng_vec(lat, lng, RETRIEVAL_LEVEL)
-
-    def destination_by_id(self, dest_id: int) -> Destination:
-        d = self.destinations[dest_id]
-        if d.dest_id != dest_id:
-            raise DataError(f"destination ids not dense at {dest_id}")
-        return d
 
 
 def _km_offset(lat: float, lng: float, north_km: float, east_km: float):
@@ -559,6 +552,26 @@ def _fmt_bool(b: bool) -> str:
     return "1" if b else "0"
 
 
+def _read_tsv(path, fields, parse_row) -> list:
+    """parse_row applied to every row of a record file with the given
+    header. A row with the wrong field count or a field that does not
+    parse raises DataError naming the file and its 1-based line."""
+    out = []
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split("\t")
+        if tuple(header) != fields:
+            raise DataError(f"{path}: unexpected header {header}")
+        for lineno, line in enumerate(f, start=2):
+            p = line.rstrip("\n").split("\t")
+            if len(p) != len(fields):
+                raise DataError(f"{path}:{lineno}: expected {len(fields)} fields, got {len(p)}")
+            try:
+                out.append(parse_row(p))
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{path}:{lineno}: bad row: {exc}") from None
+    return out
+
+
 def write_listings(path, listings):
     with open(path, "w") as f:
         f.write("\t".join(LISTING_FIELDS) + "\n")
@@ -569,18 +582,12 @@ def write_listings(path, listings):
             )
 
 
+def _parse_listing(p) -> Listing:
+    return Listing(int(p[0]), float(p[1]), float(p[2]), int(p[3]), p[4] == "1")
+
+
 def read_listings(path) -> list[Listing]:
-    out = []
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if tuple(header) != LISTING_FIELDS:
-            raise DataError(f"unexpected listings header {header}")
-        for line in f:
-            p = line.rstrip("\n").split("\t")
-            if len(p) != len(LISTING_FIELDS):
-                raise DataError(f"bad listings row: {line!r}")
-            out.append(Listing(int(p[0]), float(p[1]), float(p[2]), int(p[3]), p[4] == "1"))
-    return out
+    return _read_tsv(path, LISTING_FIELDS, _parse_listing)
 
 
 def _fmt_clusters(clusters) -> str:
@@ -611,23 +618,15 @@ def write_destinations(path, destinations):
             )
 
 
+def _parse_destination(p) -> Destination:
+    return Destination(
+        int(p[0]), p[1], float(p[2]), float(p[3]), p[4], p[5], p[6],
+        float(p[7]), _parse_clusters(p[8]),
+    )
+
+
 def read_destinations(path) -> list[Destination]:
-    out = []
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if tuple(header) != DESTINATION_FIELDS:
-            raise DataError(f"unexpected destinations header {header}")
-        for line in f:
-            p = line.rstrip("\n").split("\t")
-            if len(p) != len(DESTINATION_FIELDS):
-                raise DataError(f"bad destinations row: {line!r}")
-            out.append(
-                Destination(
-                    int(p[0]), p[1], float(p[2]), float(p[3]), p[4], p[5], p[6],
-                    float(p[7]), _parse_clusters(p[8]),
-                )
-            )
-    return out
+    return _read_tsv(path, DESTINATION_FIELDS, _parse_destination)
 
 
 def write_events(path, events):
@@ -642,23 +641,15 @@ def write_events(path, events):
             )
 
 
+def _parse_event(p) -> SearchEvent:
+    return SearchEvent(
+        int(p[0]), int(p[1]), p[2], int(p[3]), p[4] == "1", p[5],
+        int(p[6]), p[7] == "1", int(p[8]), int(p[9]), p[10] == "1",
+    )
+
+
 def read_events(path) -> list[SearchEvent]:
-    out = []
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if tuple(header) != EVENT_FIELDS:
-            raise DataError(f"unexpected events header {header}")
-        for line in f:
-            p = line.rstrip("\n").split("\t")
-            if len(p) != len(EVENT_FIELDS):
-                raise DataError(f"bad event row: {line!r}")
-            out.append(
-                SearchEvent(
-                    int(p[0]), int(p[1]), p[2], int(p[3]), p[4] == "1", p[5],
-                    int(p[6]), p[7] == "1", int(p[8]), int(p[9]), p[10] == "1",
-                )
-            )
-    return out
+    return _read_tsv(path, EVENT_FIELDS, _parse_event)
 
 
 def write_manifest(path, cfg: GenConfig, world: World, n_train: int, n_eval: int):

@@ -86,12 +86,6 @@ class MetricPoint:
 METRIC_FIELDS = tuple(MetricPoint.__dataclass_fields__)
 
 
-def compare_points(a: MetricPoint, b: MetricPoint) -> dict:
-    """Metric-wise differences a - b; comparing a point to itself is all zero."""
-
-    return {name: getattr(a, name) - getattr(b, name) for name in METRIC_FIELDS}
-
-
 @dataclass
 class SweepResult:
     """Per-shard metrics over a grid of probability cutoffs."""
@@ -259,24 +253,6 @@ def sweep_shard(
         n_classes=k,
         oov_events=int((y < 0).sum()),
     )
-
-
-def match_recall_threshold(lambdas, recalls, target: float):
-    """Largest grid cutoff whose recall reaches the target.
-
-    Returns (cutoff, warned). When no grid point reaches the target the
-    smallest cutoff is returned with warned=True; that is the closest the
-    grid can get because recall is non-increasing in the cutoff.
-    """
-
-    lam = np.asarray(lambdas, dtype=np.float64)
-    rec = np.asarray(recalls, dtype=np.float64)
-    if lam.shape != rec.shape or lam.ndim != 1 or lam.size == 0:
-        raise ConfigError("lambdas and recalls must be matching non-empty 1-d arrays")
-    ok = np.flatnonzero(rec >= target)
-    if ok.size == 0:
-        return float(lam[0]), True
-    return float(lam[ok.max()]), False
 
 
 def quantile_threshold(booked_probs, target: float):

@@ -54,10 +54,12 @@ def destination_cells(dest: Destination, cell_levels) -> tuple[int, ...]:
 
 
 def categorical_raw_values(
-    event: SearchEvent, dest: Destination, cell_levels
+    event: SearchEvent, dest: Destination, dest_cells: tuple
 ) -> tuple:
-    """Pre-vocabulary categorical values, in feature order."""
-    return destination_cells(dest, cell_levels) + (
+    """Pre-vocabulary categorical values, in feature order. dest_cells is
+    destination_cells(dest, cell_levels), which callers cache per
+    destination because computing it dominates encoding."""
+    return dest_cells + (
         dest.dest_type,
         dest.country,
         event.origin_country,
@@ -131,14 +133,7 @@ def fit_pipeline(
         if cells is None:
             cells = destination_cells(d, cell_levels)
             dest_cell_cache[d.dest_id] = cells
-        values = cells + (
-            d.dest_type,
-            d.country,
-            e.origin_country,
-            e.device_type,
-            "1" if e.is_mobile_app else "0",
-            "1" if e.is_weekend else "0",
-        )
+        values = categorical_raw_values(e, d, cells)
         for n, v in zip(names, values):
             observed[n].add(v)
 
@@ -220,14 +215,7 @@ def encode_events(
         if cells is None:
             cells = destination_cells(d, pipeline.cell_levels)
             dest_cell_cache[d.dest_id] = cells
-        values = cells + (
-            d.dest_type,
-            d.country,
-            e.origin_country,
-            e.device_type,
-            "1" if e.is_mobile_app else "0",
-            "1" if e.is_weekend else "0",
-        )
+        values = categorical_raw_values(e, d, cells)
         cat = [pipeline.vocabs[n].get(v, 0) for n, v in zip(names, values)]
         cont = continuous_raw_values(e, d)
         per_shard[shard_of(d)].append(

@@ -19,10 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .labels import is_retrieval_level_raw
+from .labels import RETRIEVAL_LEVEL, is_retrieval_level_raw
 from .s2geom import GeoRect, cells_from_latlng_vec, cover_rect_raw
-
-RETRIEVAL_LEVEL = 11
 
 INDEX_MAGIC = "cellindex"
 INDEX_VERSION = 1

@@ -14,6 +14,8 @@ import numpy as np
 from .errors import DataError
 from .s2geom import num_cells_at_level
 
+# The grid level that classes, listing postings and rectangle coverings
+# share; every module that works at that level imports it from here.
 RETRIEVAL_LEVEL = 11
 _SENTINEL = 1 << (60 - 2 * RETRIEVAL_LEVEL)
 _LOW_MASK = _SENTINEL - 1

@@ -13,7 +13,8 @@ tests pin that equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,18 +22,19 @@ from .errors import ConfigError, DataError, NumericError
 from .features import EncodedBatch, FeaturePipeline, SHARDS
 from .labels import LabelVocabulary
 from .nn import (
-    TrunkSpec,
+    FULL_SCALE_HIDDEN,
+    TrunkModel,
+    build_trunk_model,
     clone_params,
     ensure_finite,
-    init_dense,
-    init_trunk,
+    fit_epochs,
+    holdout_split,
     log_softmax,
     sgd_update,
     trunk_backward,
     trunk_forward,
+    validate_trunk_config,
 )
-
-DTYPES = {"float32": np.float32, "float64": np.float64}
 
 EVAL_CHUNK = 2048
 
@@ -52,37 +54,14 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.embed_dim < 1:
-            raise ConfigError("embed_dim must be >= 1")
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ConfigError("hidden widths must be >= 1")
-        if not (0 < self.learning_rate < 1):
-            raise ConfigError("learning_rate must lie in (0, 1)")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        validate_trunk_config(self)
         if self.num_negatives < 1:
             raise ConfigError("num_negatives must be >= 1")
-        if self.dtype not in DTYPES:
-            raise ConfigError(f"dtype must be one of {sorted(DTYPES)}")
 
 
 def full_scale_config(base: TrainConfig) -> TrainConfig:
     """The production-sized variant: wider trunk, far more negatives."""
-    return TrainConfig(
-        embed_dim=base.embed_dim,
-        hidden=(1024, 2056, 1024, 256),
-        learning_rate=base.learning_rate,
-        epochs=base.epochs,
-        patience=base.patience,
-        batch_size=base.batch_size,
-        num_negatives=25000,
-        seed=base.seed,
-        dtype=base.dtype,
-    )
+    return replace(base, hidden=FULL_SCALE_HIDDEN, num_negatives=25000)
 
 
 def sample_negatives(rng, n_classes, targets, num_negatives) -> np.ndarray:
@@ -171,35 +150,17 @@ def _shard_index(shard: str) -> int:
         raise ConfigError(f"unknown shard {shard!r}") from None
 
 
-class ShardModel:
+class ShardModel(TrunkModel):
     """One shard's classifier: parameters, class space, and train state."""
 
     def __init__(self, config, spec, vocab, params, rng, trained=False, train_log=None):
-        self.config = config
-        self.spec = spec
+        super().__init__(config, spec, params, rng, trained, train_log)
         self.vocab = vocab
-        self.params = params
-        self._rng = rng
-        self.trained = trained
-        self.train_log = [] if train_log is None else train_log
-        self.best_epoch = -1
 
     @classmethod
     def build(cls, config: TrainConfig, pipeline: FeaturePipeline, vocab: LabelVocabulary):
-        emb_names = pipeline.categorical_names
-        sizes = pipeline.vocab_sizes()
-        spec = TrunkSpec(
-            emb_names=emb_names,
-            emb_rows=tuple(sizes[name] for name in emb_names),
-            emb_dim=config.embed_dim,
-            n_continuous=pipeline.n_continuous(),
-            hidden=tuple(config.hidden),
-        )
-        dtype = DTYPES[config.dtype]
-        rng = np.random.default_rng((config.seed, _shard_index(vocab.shard)))
-        params = init_trunk(rng, spec, dtype)
-        params["out_w"], params["out_b"] = init_dense(
-            rng, spec.output_dim, len(vocab), dtype
+        spec, params, rng = build_trunk_model(
+            config, pipeline, len(vocab), _shard_index(vocab.shard)
         )
         return cls(config, spec, vocab, params, rng)
 
@@ -243,64 +204,27 @@ class ShardModel:
         held out. The parameters from the best validation epoch are kept.
         Returns the per-epoch log.
         """
-        cfg = self.config
-        rng = self._rng
         batch, targets, dropped = self._targets_of(batch)
         if val_batch is None:
-            n = targets.size
-            if n < 2:
-                raise DataError("need at least 2 events to split off validation")
-            perm = rng.permutation(n)
-            n_val = max(1, int(round(0.1 * n)))
-            val_idx, train_idx = perm[:n_val], perm[n_val:]
-            val_cat = batch.categorical[val_idx]
-            val_cont = batch.continuous[val_idx]
-            val_y = targets[val_idx]
-            cat = batch.categorical[train_idx]
-            cont = batch.continuous[train_idx]
-            y = targets[train_idx]
+            train_rows, val_rows = holdout_split(self.rng, targets.size)
+            val, val_y = batch.take(val_rows), targets[val_rows]
         else:
-            vb, val_y, _ = self._targets_of(val_batch)
-            val_cat, val_cont = vb.categorical, vb.continuous
-            cat, cont, y = batch.categorical, batch.continuous, targets
+            train_rows = np.arange(targets.size)
+            val, val_y, _ = self._targets_of(val_batch)
 
-        log: list[dict] = []
-        self.train_log = log
-        best_ce = np.inf
-        best_params = None
-        bad_epochs = 0
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(y.size)
-            losses = []
-            for start in range(0, order.size, cfg.batch_size):
-                rows = order[start : start + cfg.batch_size]
-                losses.append(
-                    self.train_step(cat[rows], cont[rows], y[rows], rng)
-                )
-            val_ce = self._cross_entropy(val_cat, val_cont, val_y)
-            if not np.isfinite(val_ce):
-                raise NumericError("validation cross entropy diverged", log=log)
-            log.append(
-                {
-                    "epoch": epoch,
-                    "train_loss": float(np.mean(losses)),
-                    "val_ce": val_ce,
-                    "dropped_events": dropped if epoch == 0 else 0,
-                }
+        def step(rows):
+            loss = self.train_step(
+                batch.categorical[rows], batch.continuous[rows], targets[rows], self.rng
             )
-            if val_ce < best_ce:
-                best_ce = val_ce
-                best_params = clone_params(self.params)
-                self.best_epoch = epoch
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= cfg.patience:
-                    break
-        if best_params is not None:
-            self.params = best_params
-        self.trained = True
-        return log
+            return {"train_loss": loss}
+
+        def validate(epoch):
+            return {
+                "val_ce": self._cross_entropy(val.categorical, val.continuous, val_y),
+                "dropped_events": dropped if epoch == 0 else 0,
+            }
+
+        return fit_epochs(self, train_rows, step, validate, "val_ce")
 
     def _cross_entropy(self, categorical, continuous, targets) -> float:
         """Full-softmax cross entropy, computed in row chunks. The
@@ -310,10 +234,7 @@ class ShardModel:
         n = targets.size
         for start in range(0, n, EVAL_CHUNK):
             sl = slice(start, min(start + EVAL_CHUNK, n))
-            h, _ = trunk_forward(
-                self.params, self.spec, categorical[sl], continuous[sl]
-            )
-            logits = h @ self.params["out_w"] + self.params["out_b"]
+            logits = self.head_outputs(categorical[sl], continuous[sl])
             lsm = log_softmax(logits.astype(np.float64))
             total -= float(lsm[np.arange(targets[sl].size), targets[sl]].sum())
         return total / n
@@ -326,10 +247,7 @@ class ShardModel:
 
     def predict_probs(self, batch: EncodedBatch) -> np.ndarray:
         """(N, n_classes) class probabilities. Callers chunk large batches."""
-        h, _ = trunk_forward(
-            self.params, self.spec, batch.categorical, batch.continuous
-        )
-        logits = h @ self.params["out_w"] + self.params["out_b"]
+        logits = self.head_outputs(batch.categorical, batch.continuous)
         ensure_finite("prediction logits", logits)
         return np.exp(log_softmax(logits))
 
@@ -337,17 +255,10 @@ class ShardModel:
         """A copy whose output layer is explicitly zeroed, so every class
         gets probability 1/n_classes. Diagnostic: its cross entropy must
         equal ln(n_classes) on any batch."""
-        params = clone_params(self.params)
-        params["out_w"][:] = 0.0
-        params["out_b"][:] = 0.0
-        twin = ShardModel(
-            self.config,
-            self.spec,
-            self.vocab,
-            params,
-            np.random.default_rng((self.config.seed, _shard_index(self.shard))),
-            trained=self.trained,
-            train_log=list(self.train_log),
-        )
-        twin.best_epoch = self.best_epoch
+        twin = copy.copy(self)
+        twin.params = clone_params(self.params)
+        twin.params["out_w"][:] = 0.0
+        twin.params["out_b"][:] = 0.0
+        twin.rng = np.random.default_rng((self.config.seed, _shard_index(self.shard)))
+        twin.train_log = list(self.train_log)
         return twin

@@ -5,6 +5,10 @@ Parameters live in a plain dict keyed by name, in a canonical order:
 one embedding table per categorical feature (feature order), then the
 hidden dense layers, then the output layer. Everything downstream
 (SGD updates, gradient checks, checkpoints) walks that dict.
+
+The two models built on the trunk, the shard classifier and the bounds
+regressor, share one config validator, one builder, one state class
+(TrunkModel) and one training loop (fit_epochs) from here.
 """
 
 from __future__ import annotations
@@ -14,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
+
+DTYPES = {"float32": np.float32, "float64": np.float64}
+
+# Trunk widths of the production-sized models (`full_scale`).
+FULL_SCALE_HIDDEN = (1024, 2056, 1024, 256)
 
 
 def glorot_limit(fan_in: int, fan_out: int) -> float:
@@ -117,6 +126,47 @@ def init_trunk(rng, spec: TrunkSpec, dtype) -> dict:
     return params
 
 
+def validate_trunk_config(cfg):
+    """Range checks on the fields every trunk-model config shares:
+    embed_dim, hidden, learning_rate, epochs, patience, batch_size and
+    dtype (seed takes any integer)."""
+    if cfg.embed_dim < 1:
+        raise ConfigError("embed_dim must be >= 1")
+    if not cfg.hidden or any(h < 1 for h in cfg.hidden):
+        raise ConfigError("hidden widths must be >= 1")
+    if not (0 < cfg.learning_rate < 1):
+        raise ConfigError("learning_rate must lie in (0, 1)")
+    if cfg.epochs < 0:
+        raise ConfigError("epochs must be >= 0")
+    if cfg.patience < 1:
+        raise ConfigError("patience must be >= 1")
+    if cfg.batch_size < 1:
+        raise ConfigError("batch_size must be >= 1")
+    if cfg.dtype not in DTYPES:
+        raise ConfigError(f"dtype must be one of {sorted(DTYPES)}")
+
+
+def build_trunk_model(config, pipeline, n_outputs: int, stream: int):
+    """Spec, initial parameters and rng of a new trunk model over a fitted
+    feature pipeline, with an n_outputs-wide linear head. The rng, seeded
+    with (config.seed, stream) so that models sharing a seed draw
+    independent streams, initializes the parameters and then trains them."""
+    names = pipeline.categorical_names
+    sizes = pipeline.vocab_sizes()
+    spec = TrunkSpec(
+        emb_names=names,
+        emb_rows=tuple(sizes[name] for name in names),
+        emb_dim=config.embed_dim,
+        n_continuous=pipeline.n_continuous(),
+        hidden=tuple(config.hidden),
+    )
+    dtype = DTYPES[config.dtype]
+    rng = np.random.default_rng((config.seed, stream))
+    params = init_trunk(rng, spec, dtype)
+    params["out_w"], params["out_b"] = init_dense(rng, spec.output_dim, n_outputs, dtype)
+    return spec, params, rng
+
+
 @dataclass
 class TrunkCache:
     """Forward-pass intermediates needed by trunk_backward."""
@@ -152,6 +202,28 @@ def trunk_forward(params, spec: TrunkSpec, categorical, continuous):
     return h, TrunkCache(categorical, layer_inputs, pre_acts)
 
 
+class TrunkModel:
+    """State of a model built on the trunk: config, spec, parameters
+    (embeddings, dense layers, then the out_w/out_b head), the rng that
+    trains it, and the train state that fit_epochs keeps. Subclasses
+    define fit and train_step themselves, so the benchmark's tracing can
+    wrap each class's own methods."""
+
+    def __init__(self, config, spec, params, rng, trained=False, train_log=None):
+        self.config = config
+        self.spec = spec
+        self.params = params
+        self.rng = rng
+        self.trained = trained
+        self.train_log = [] if train_log is None else train_log
+        self.best_epoch = -1
+
+    def head_outputs(self, categorical, continuous):
+        """Output-layer values for a batch of rows."""
+        h, _ = trunk_forward(self.params, self.spec, categorical, continuous)
+        return h @ self.params["out_w"] + self.params["out_b"]
+
+
 def trunk_backward(params, spec: TrunkSpec, cache: TrunkCache, dh, grads):
     """Backprop dh (gradient at the trunk output) into grads, in place."""
     n_layers = len(spec.hidden)
@@ -177,6 +249,60 @@ def sgd_update(params: dict, grads: dict, learning_rate: float):
 
 def clone_params(params: dict) -> dict:
     return {name: arr.copy() for name, arr in params.items()}
+
+
+def holdout_split(rng, n: int):
+    """(train_rows, val_rows): a seeded 10% validation holdout of n rows,
+    at least one row."""
+    if n < 2:
+        raise DataError("need at least 2 events to split off validation")
+    perm = rng.permutation(n)
+    n_val = max(1, int(round(0.1 * n)))
+    return perm[n_val:], perm[:n_val]
+
+
+def fit_epochs(model, train_rows, step, validate, val_key: str) -> list[dict]:
+    """Mini-batch SGD epochs with early stopping and best-epoch restore.
+
+    Each epoch permutes train_rows with model.rng and calls step(rows) per
+    mini-batch; the epoch's log entry averages the dicts step returns and
+    adds the figures validate(epoch) returns, of which val_key is
+    minimized. Training stops after config.patience epochs without a new
+    best and keeps the best epoch's parameters. The log is returned, and
+    is model.train_log while training runs so a NumericError can carry it.
+    """
+    cfg = model.config
+    log: list[dict] = []
+    model.train_log = log
+    best = np.inf
+    best_params = None
+    bad_epochs = 0
+    for epoch in range(cfg.epochs):
+        order = model.rng.permutation(train_rows.size)
+        steps = [
+            step(train_rows[order[start : start + cfg.batch_size]])
+            for start in range(0, order.size, cfg.batch_size)
+        ]
+        entry = {"epoch": epoch}
+        for key in steps[0]:
+            entry[key] = float(np.mean([s[key] for s in steps]))
+        entry.update(validate(epoch))
+        if not np.isfinite(entry[val_key]):
+            raise NumericError(f"validation {val_key} diverged", log=log)
+        log.append(entry)
+        if entry[val_key] < best:
+            best = entry[val_key]
+            best_params = clone_params(model.params)
+            model.best_epoch = epoch
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                break
+    if best_params is not None:
+        model.params = best_params
+    model.trained = True
+    return log
 
 
 def numerical_gradient(loss_fn, params: dict, eps: float = 1e-5) -> dict:

@@ -80,15 +80,6 @@ class CellId(int):
             raise InvalidCellError(f"bad cell token {token!r}") from None
         return cls.from_raw(raw)
 
-    @classmethod
-    def from_decimal(cls, text: str) -> "CellId":
-        """Parse the decimal form used in data files."""
-        try:
-            raw = int(text, 10)
-        except ValueError:
-            raise InvalidCellError(f"bad cell id {text!r}") from None
-        return cls.from_raw(raw)
-
     def is_valid(self) -> bool:
         return is_valid_raw(self)
 
@@ -160,10 +151,6 @@ class CellId(int):
     def token(self) -> str:
         """16-hex-digit debug form."""
         return format(int(self), "016x")
-
-    def to_decimal(self) -> str:
-        """Decimal form used in data files."""
-        return str(int(self))
 
     def __repr__(self) -> str:
         return f"CellId({self.token()})"

@@ -1,12 +1,19 @@
 """Tiny synthetic models and batches shared by the model-layer tests."""
 
+import copy
+
 import numpy as np
 
 from cellsearch import nn
+from cellsearch.baseline import BoundsConfig, BoundsModel
 from cellsearch.features import EncodedBatch
 from cellsearch.labels import LabelVocabulary
-from cellsearch.model import DTYPES, ShardModel, TrainConfig
+from cellsearch.model import ShardModel, TrainConfig
 from cellsearch.s2geom import cells_from_latlng_vec
+
+# The two trunk models, which share one training loop, and the name of
+# the validation figure each one's loop minimizes.
+VAL_KEYS = {"classifier": "val_ce", "bounds": "val_loss"}
 
 
 def make_vocab(n_classes, seed=0, shard="EU"):
@@ -36,7 +43,7 @@ def tiny_model(n_classes=7, hidden=(5, 4), dtype="float64", seed=0, **cfg_kw):
         hidden=hidden,
     )
     vocab, spare = make_vocab(n_classes, seed=seed)
-    np_dtype = DTYPES[dtype]
+    np_dtype = nn.DTYPES[dtype]
     rng = np.random.default_rng(seed)
     params = nn.init_trunk(rng, spec, np_dtype)
     params["out_w"], params["out_b"] = nn.init_dense(
@@ -45,6 +52,48 @@ def tiny_model(n_classes=7, hidden=(5, 4), dtype="float64", seed=0, **cfg_kw):
     model = ShardModel(cfg, spec, vocab, params, rng)
     model.spare_cell = spare
     return model
+
+
+def tiny_bounds(seed=0, dtype="float64", **cfg_kw):
+    """A hand-assembled bounds regressor with the tiny_model trunk."""
+    cfg = BoundsConfig(embed_dim=3, hidden=(5, 4), dtype=dtype, seed=seed, **cfg_kw)
+    spec = nn.TrunkSpec(
+        emb_names=("kind",), emb_rows=(4,), emb_dim=3, n_continuous=2, hidden=(5, 4)
+    )
+    np_dtype = nn.DTYPES[dtype]
+    rng = np.random.default_rng(seed)
+    params = nn.init_trunk(rng, spec, np_dtype)
+    params["out_w"], params["out_b"] = nn.init_dense(rng, spec.output_dim, 4, np_dtype)
+    return BoundsModel(cfg, spec, params, rng)
+
+
+def tiny_fit(kind, n=32, seed=0, data_seed=1, **cfg_kw):
+    """A tiny model of either kind with n random training rows.
+
+    Returns (model, fit, holdout): fit() trains and returns the log, and
+    holdout() is the validation figure the fit minimizes, computed from
+    the model's current parameters. The classifier validates on an
+    explicit batch; the regressor on its own holdout split, found by
+    replaying the split (the first draw of its rng) on a copy.
+    """
+    if kind == "classifier":
+        model = tiny_model(n_classes=5, num_negatives=1, seed=seed, **cfg_kw)
+        batch, _ = tiny_batch(model, n, seed=data_seed)
+        val, _ = tiny_batch(model, n // 2, seed=data_seed + 1)
+        return (
+            model,
+            lambda: model.fit(batch, val_batch=val),
+            lambda: model.eval_cross_entropy(val),
+        )
+    model = tiny_bounds(seed=seed, **cfg_kw)
+    batch, _ = tiny_batch(tiny_model(seed=seed), n, seed=data_seed)
+    targets = np.random.default_rng(data_seed).normal(scale=0.5, size=(n, 2))
+    _, val_rows = nn.holdout_split(copy.deepcopy(model.rng), n)
+    return (
+        model,
+        lambda: model.fit(batch, targets),
+        lambda: model.eval_loss(batch.take(val_rows), targets[val_rows])[0],
+    )
 
 
 def tiny_batch(model, n, seed=1, targets=None):

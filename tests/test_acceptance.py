@@ -14,8 +14,8 @@ import time
 
 import numpy as np
 import pytest
-from modeltools import tiny_batch, tiny_model
-from test_baseline import kink_margin, random_inputs, tiny_bounds
+from modeltools import tiny_batch, tiny_bounds, tiny_model
+from test_baseline import kink_margin, random_inputs
 
 from cellsearch import nn
 from cellsearch.baseline import (

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from modeltools import tiny_batch, tiny_model
+from modeltools import tiny_batch, tiny_bounds, tiny_model
 
 from cellsearch import nn
 from cellsearch.baseline import (
@@ -22,18 +22,6 @@ from cellsearch.checkpoint import load_baseline, save_baseline, save_model
 from cellsearch.errors import ConfigError, DataError
 from cellsearch.features import encode_events, fit_pipeline
 from cellsearch.s2geom import cell_from_latlng, cells_from_latlng_vec
-
-
-def tiny_bounds(seed=0, dtype="float64", **cfg_kw):
-    cfg = BoundsConfig(embed_dim=3, hidden=(5, 4), dtype=dtype, seed=seed, **cfg_kw)
-    spec = nn.TrunkSpec(
-        emb_names=("kind",), emb_rows=(4,), emb_dim=3, n_continuous=2, hidden=(5, 4)
-    )
-    np_dtype = np.float64 if dtype == "float64" else np.float32
-    rng = np.random.default_rng(seed)
-    params = nn.init_trunk(rng, spec, np_dtype)
-    params["out_w"], params["out_b"] = nn.init_dense(rng, spec.output_dim, 4, np_dtype)
-    return BoundsModel(cfg, spec, params, rng)
 
 
 def random_inputs(model, n, seed):

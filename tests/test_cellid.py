@@ -54,15 +54,12 @@ def test_valid_raw_accepts_all_levels():
             assert CellId.from_raw(raw).level() == level
 
 
-def test_token_and_decimal_round_trip():
+def test_token_round_trip():
     c = cell_from_latlng(48.86, 2.35, 11)
     assert len(c.token()) == 16
     assert CellId.from_token(c.token()) == c
-    assert CellId.from_decimal(c.to_decimal()) == c
     with pytest.raises(InvalidCellError):
         CellId.from_token("zzzz")
-    with pytest.raises(InvalidCellError):
-        CellId.from_decimal("-5")
 
 
 def test_parent_child_inverse():

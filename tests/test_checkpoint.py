@@ -5,12 +5,14 @@ import json
 
 import numpy as np
 import pytest
-from modeltools import make_vocab, tiny_batch, tiny_model
+from modeltools import make_vocab, tiny_batch, tiny_bounds, tiny_model
 
 from cellsearch.checkpoint import (
+    load_baseline,
     load_checkpoint,
     load_model,
     model_config_echo,
+    save_baseline,
     save_checkpoint,
     save_model,
 )
@@ -167,3 +169,18 @@ def test_config_echo_contents():
     assert echo["n_classes"] == 7
     assert echo["categorical_features"] == ["kind"]
     assert echo["hidden"] == [5, 4]
+
+
+@pytest.mark.parametrize("kind", ["cell_classifier", "bounds_regressor"])
+def test_save_load_save_is_byte_identical(tmp_path, kind):
+    if kind == "cell_classifier":
+        model = tiny_model(dtype="float32", num_negatives=2, epochs=1, batch_size=4)
+        model.fit(tiny_batch(model, 30, seed=3)[0])
+        save, load = save_model, lambda path: load_model(path, model.vocab)
+    else:
+        model = tiny_bounds(seed=3, dtype="float32", learning_rate=0.01, alpha=2.0)
+        save, load = save_baseline, load_baseline
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    save(first, model)
+    save(second, load(first))
+    assert second.read_bytes() == first.read_bytes()

@@ -1,11 +1,18 @@
 """Command line pipeline: artifact layout, exit codes, output shape."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import cellsearch
 from cellsearch.cli import main
+from cellsearch.datagen import load_dataset
+from cellsearch.features import SHARDS, encode_events, fit_pipeline
+from cellsearch.labels import build_vocab
 
 CFG = {
     "data": {
@@ -185,3 +192,63 @@ def test_full_scale_flag_changes_train_shape(tmp_path, capsys):
     run = load_run_config(overrides=["full_scale=true"])
     assert run.train.num_negatives == 25000
     capsys.readouterr()
+
+
+@pytest.fixture
+def fresh_data(tmp_path, capsys):
+    """A generated dataset with nothing trained on it: (config path, workdir)."""
+    workdir = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(CFG, workdir=str(workdir))))
+    assert main(["gen", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    return cfg_path, workdir
+
+
+def _trained_artifacts(workdir):
+    return sorted(p.name for p in workdir.iterdir() if p.name != "data")
+
+
+def test_train_full_scale_fails_before_any_work(fresh_data, capsys):
+    cfg_path, workdir = fresh_data
+    # 25,000 negatives exceed every shard's class count at this scale.
+    assert main(["train", "--config", str(cfg_path), "--full-scale"]) == 2
+    err = capsys.readouterr().err
+    assert "num_negatives=25000" in err and "shard EU" in err
+    assert _trained_artifacts(workdir) == []
+
+
+def test_train_failing_mid_fit_writes_nothing(fresh_data, capsys):
+    cfg_path, workdir = fresh_data
+    world, train, _ = load_dataset(workdir / "data")
+    batches = encode_events(train, world.destinations, fit_pipeline(train, world.destinations))
+    sizes = {s: len(build_vocab(s, batches[s].booked_cells)) for s in SHARDS}
+    # One negative fewer than the smallest shard's classes passes the
+    # up-front check, but a batch with two distinct positives leaves too
+    # few classes to draw from, so that shard's first step fails after
+    # the larger shards have been fitted.
+    assert min(sizes, key=sizes.get) == SHARDS[-1]
+    negatives = f"train.num_negatives={min(sizes.values()) - 1}"
+    assert main(["train", "--config", str(cfg_path), "--set", negatives]) == 2
+    assert "classes available" in capsys.readouterr().err
+    assert _trained_artifacts(workdir) == []
+
+
+def test_malformed_event_field_is_a_data_error(fresh_data, capsys):
+    cfg_path, workdir = fresh_data
+    path = workdir / "data" / "eval_events.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[3].split("\t")
+    fields[1] = "x" + fields[1]  # dest_id
+    lines[3] = "\t".join(fields)
+    path.write_text("".join(lines))
+    # A separate process, so that an uncaught exception would print its
+    # traceback to stderr instead of failing inside the test.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cellsearch.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cellsearch.cli", "compare", "--config", str(cfg_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "eval_events.tsv:4" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -10,14 +10,10 @@ from cellsearch.errors import ConfigError, DataError
 from cellsearch.evaluation import (
     FULL_SCALE_REFERENCE_LAMBDAS,
     LAMBDA_GRID,
-    METRIC_FIELDS,
-    MetricPoint,
     booked_cell_probs,
-    compare_points,
     evaluate_baseline,
     format_report,
     gap_statistics,
-    match_recall_threshold,
     quantile_threshold,
     run_compare,
     sweep_csv_text,
@@ -155,17 +151,6 @@ def test_booked_cell_probs_sentinel(stack):
         assert bp[e] == pytest.approx(float(probs[k, y[e]]), abs=1e-12)
 
 
-def test_match_recall_threshold_picks_largest():
-    lambdas = np.array([0.001, 0.01, 0.1])
-    recalls = np.array([0.9, 0.7, 0.2])
-    lam, warned = match_recall_threshold(lambdas, recalls, 0.7)
-    assert lam == 0.01 and not warned
-    lam, warned = match_recall_threshold(lambdas, recalls, 0.95)
-    assert lam == 0.001 and warned
-    with pytest.raises(ConfigError):
-        match_recall_threshold(lambdas, recalls[:2], 0.5)
-
-
 def test_quantile_threshold_exact():
     probs = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
     lam, warned = quantile_threshold(probs, 0.4)
@@ -236,17 +221,6 @@ def test_evaluate_baseline_matches_naive(stack):
     assert result.point.precision_dest == pytest.approx(float(np.mean(per_dest)), abs=1e-12)
     expected_dw = float(np.mean([np.mean(v) for v in per_dest_hits.values()]))
     assert result.point.dest_weighted_recall == pytest.approx(expected_dw, abs=1e-12)
-
-
-def test_compare_points_zero_on_self():
-    point = MetricPoint(0.9, 0.4, 0.1, 40.0, 800.0, 0.88)
-    deltas = compare_points(point, point)
-    assert set(deltas) == set(METRIC_FIELDS)
-    assert all(v == 0.0 for v in deltas.values())
-    other = MetricPoint(0.8, 0.5, 0.1, 50.0, 700.0, 0.8)
-    deltas = compare_points(point, other)
-    assert deltas["recall"] == pytest.approx(0.1)
-    assert deltas["mean_cells"] == pytest.approx(-10.0)
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ from cellsearch.features import (
     DEFAULT_CELL_LEVELS,
     SHARDS,
     categorical_raw_values,
+    destination_cells,
     encode_events,
     fit_pipeline,
     load_pipeline,
@@ -59,9 +60,12 @@ def _mkevent(dest_id=0, origin="FR", search_id=0):
 
 def test_cell_features_of_origin_destination():
     dest = _mkdest()
-    values = categorical_raw_values(_mkevent(), dest, DEFAULT_CELL_LEVELS)
+    values = categorical_raw_values(
+        _mkevent(), dest, destination_cells(dest, DEFAULT_CELL_LEVELS)
+    )
     for k, level in enumerate(DEFAULT_CELL_LEVELS):
         assert values[k] == int(cell_from_latlng(0.0, 0.0, level))
+    assert values[len(DEFAULT_CELL_LEVELS):] == ("city", "FR", "FR", "ios_app", "1", "0")
 
 
 def test_encoding_total_and_sharded(small_dataset, fitted):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from modeltools import make_vocab, tiny_batch, tiny_model
+from modeltools import VAL_KEYS, make_vocab, tiny_batch, tiny_fit, tiny_model
 
 from cellsearch import nn
 from cellsearch.errors import ConfigError, DataError, NumericError
@@ -154,61 +154,54 @@ def test_fit_learns_separable_toy():
     assert log[-1]["val_ce"] < log[0]["val_ce"]
 
 
+# The next four tests run the shared training loop through both models
+# that use it: the shard classifier and the bounds regressor.
+
+
 def test_fit_restores_best_validation_epoch():
-    model = tiny_model(
-        n_classes=5,
-        num_negatives=1,
-        batch_size=2,
-        learning_rate=0.9,
-        epochs=12,
-        patience=3,
-        seed=6,
-    )
-    batch, _ = tiny_batch(model, 32, seed=9)
-    val, _ = tiny_batch(model, 16, seed=10)
-    log = model.fit(batch, val_batch=val)
-    val_ces = [entry["val_ce"] for entry in log]
-    assert model.best_epoch == int(np.argmin(val_ces))
-    assert model.eval_cross_entropy(val) == pytest.approx(min(val_ces), abs=1e-12)
+    for kind, val_key in VAL_KEYS.items():
+        model, fit, holdout = tiny_fit(
+            kind, n=32, seed=6, data_seed=9,
+            batch_size=2, learning_rate=0.9, epochs=12, patience=3,
+        )
+        log = fit()
+        vals = [entry[val_key] for entry in log]
+        assert model.best_epoch == int(np.argmin(vals)), kind
+        assert holdout() == pytest.approx(min(vals), abs=1e-12), kind
 
 
 def test_fit_early_stops_on_patience():
-    model = tiny_model(
-        n_classes=5,
-        num_negatives=1,
-        batch_size=2,
-        learning_rate=0.9,
-        epochs=40,
-        patience=2,
-        seed=12,
-    )
-    batch, _ = tiny_batch(model, 32, seed=13)
-    log = model.fit(batch)
-    val_ces = [entry["val_ce"] for entry in log]
-    best = int(np.argmin(val_ces))
-    if len(log) < 40:  # stopped early: exactly patience epochs past the best
-        assert len(log) == best + 1 + 2
+    for kind, val_key in VAL_KEYS.items():
+        model, fit, _ = tiny_fit(
+            kind, n=32, seed=12, data_seed=13,
+            batch_size=2, learning_rate=0.9, epochs=40, patience=2,
+        )
+        log = fit()
+        best = int(np.argmin([entry[val_key] for entry in log]))
+        if len(log) < 40:  # stopped early: exactly patience epochs past the best
+            assert len(log) == best + 1 + 2, kind
 
 
 def test_fit_zero_epochs_keeps_initialization():
-    model = tiny_model(num_negatives=2, epochs=0)
-    snap = nn.clone_params(model.params)
-    batch, _ = tiny_batch(model, 20, seed=4)
-    log = model.fit(batch)
-    assert log == [] and model.train_log == []
-    assert model.trained
-    assert model.best_epoch == -1
-    for name in snap:
-        np.testing.assert_array_equal(model.params[name], snap[name])
+    for kind in VAL_KEYS:
+        model, fit, _ = tiny_fit(kind, n=20, data_seed=4, epochs=0)
+        snap = nn.clone_params(model.params)
+        log = fit()
+        assert log == [] and model.train_log == [], kind
+        assert model.trained, kind
+        assert model.best_epoch == -1, kind
+        for name in snap:
+            np.testing.assert_array_equal(model.params[name], snap[name])
 
 
 def test_divergence_raises_numeric_error_with_log():
-    model = tiny_model(num_negatives=2, epochs=4, batch_size=1)
-    batch, _ = tiny_batch(model, 12, seed=5)
-    model.params["w1"][0, 0] = np.inf
-    with pytest.raises(NumericError) as err:
-        model.fit(batch)
-    assert isinstance(err.value.log, list)
+    for kind in VAL_KEYS:
+        model, fit, _ = tiny_fit(kind, n=12, data_seed=5, epochs=4, batch_size=1)
+        model.params["w1"][0, 0] = np.inf
+        with pytest.raises(NumericError) as err:
+            fit()
+        assert isinstance(err.value.log, list), kind
+        assert err.value.log is model.train_log, kind
 
 
 def test_fit_deterministic_per_seed():
