@@ -221,6 +221,6 @@ class BoundsModel(TrunkModel):
         return rects
 
 
-def bounds_to_cellset(rect: GeoRect, cap: int = 200_000) -> np.ndarray:
+def bounds_to_cellset(rect: GeoRect) -> np.ndarray:
     """Sorted retrieval-level cell ids whose cells intersect the rect."""
-    return cover_rect_raw(rect, RETRIEVAL_LEVEL, cap=cap)
+    return cover_rect_raw(rect, RETRIEVAL_LEVEL)

@@ -165,11 +165,11 @@ def _load_trunk_model(path, kind: str, config_cls, stream: int, n_outputs: int, 
             hidden=tuple(echo["hidden"]),
         )
         trained = bool(echo["trained"])
-        for key, value in expected.items():
-            if echo[key] != value:
-                raise DataError(f"checkpoint has {key} {echo[key]!r}, expected {value!r}")
-    except KeyError as e:
-        raise DataError(f"checkpoint config is missing {e}") from None
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"checkpoint config has a missing or bad field: {e!r}") from None
+    for key, value in expected.items():
+        if echo.get(key) != value:
+            raise DataError(f"checkpoint has {key} {echo.get(key)!r}, expected {value!r}")
     if list(tensors) != spec.param_names() + ["out_w", "out_b"]:
         raise DataError("checkpoint tensors do not match the model layout")
     dtype = DTYPES[config.dtype]

@@ -13,11 +13,16 @@ Every command reads one JSON config (all keys defaulted) plus dotted
     workdir/sweep_*.svg     per-shard sweep charts (sweep)
     workdir/report.txt      matched-recall comparison report (compare)
 
+``selfcheck`` runs gen, train, sweep and compare on a fixed tiny run in a
+temporary directory, then the sampled-equals-full softmax identity.
+
 Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
 4 numeric failure, 5 capacity cap exceeded, 1 anything else.
 """
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 import tempfile
@@ -26,11 +31,9 @@ import numpy as np
 
 from . import config as cfg
 from .baseline import BoundsModel, bounds_to_cellset, destination_coords, offset_targets
-from .checkpoint import load_baseline, load_model, save_baseline, save_checkpoint, save_model, load_checkpoint
+from .checkpoint import load_baseline, load_model, save_baseline, save_model
 from .datagen import (
-    GenConfig,
     generate_dataset,
-    generate_world,
     load_dataset,
     read_destinations,
     read_events,
@@ -86,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     retrieve.add_argument("--cutoff", type=float, help="probability cutoff (classifier mode)")
     retrieve.add_argument("--rect", action="store_true", help="use the bounds baseline instead")
     retrieve.add_argument("--limit", type=int, default=10, help="max cells/listings to print")
-    common(sub.add_parser("selfcheck", help="run fast internal consistency checks"))
+    common(sub.add_parser("selfcheck", help="run a tiny pipeline end to end plus the sampled-softmax identity"))
     return parser
 
 
@@ -158,17 +161,22 @@ def cmd_train(run: cfg.RunConfig, args) -> int:
     for shard, model in models.items():
         save_vocab(run.path(cfg.vocab_file(shard)), model.vocab)
         save_model(run.path(cfg.model_file(shard)), model)
-        best = model.train_log[model.best_epoch]
         print(
             f"shard {shard}: events {len(batches[shard])} classes {len(model.vocab)} "
-            f"epochs {len(model.train_log)} best_val_ce {best['val_ce']:.6f}"
+            f"epochs {len(model.train_log)}{_best(model, 'val_ce')}"
         )
     save_baseline(run.path(cfg.BASELINE_FILE), bmodel)
-    bbest = bmodel.train_log[bmodel.best_epoch]
-    print(f"baseline: epochs {len(bmodel.train_log)} best_val_loss {bbest['val_loss']:.6f}")
+    print(f"baseline: epochs {len(bmodel.train_log)}{_best(bmodel, 'val_loss')}")
     save_index(run.path(cfg.INDEX_FILE), index, cfg.LISTINGS_REF)
     print(f"indexed {index.n_active} active listings across {index.posting_cells.size} cells")
     return 0
+
+
+def _best(model, key: str) -> str:
+    """' best_<key> <value>' of the restored epoch; empty when no epoch ran."""
+    if not model.train_log:
+        return ""
+    return f" best_{key} {model.train_log[model.best_epoch][key]:.6f}"
 
 
 def _load_stack(run: cfg.RunConfig):
@@ -286,98 +294,29 @@ def cmd_retrieve(run: cfg.RunConfig, args) -> int:
     return 0
 
 
-def _check_cell_counts():
-    from .s2geom.cellid import all_cells_at_level, num_cells_at_level
-
-    for level in range(4):
-        cells = all_cells_at_level(level)
-        if cells.size != num_cells_at_level(level) or np.unique(cells).size != cells.size:
-            return f"level {level}: {cells.size} cells"
-    return None
-
-
-def _check_point_round_trip():
-    from .s2geom.cellid import cell_centers_vec, cells_from_latlng_vec
-
-    rng = np.random.default_rng(0)
-    lat = rng.uniform(-89.9, 89.9, 500)
-    lng = rng.uniform(-180.0, 180.0, 500)
-    for level in (4, 11):
-        cells = cells_from_latlng_vec(lat, lng, level)
-        clat, clng = cell_centers_vec(cells, level)
-        again = cells_from_latlng_vec(clat, clng, level)
-        if not np.array_equal(cells, again):
-            return f"level {level}: center re-encode changed {int((cells != again).sum())} cells"
-    return None
+# The fixed tiny run that the pipeline check drives end to end.
+_SELFCHECK_RUN = (
+    "data.n_destinations=6",
+    "data.n_listings=1500",
+    "data.n_train_events=3000",
+    "data.n_eval_events=60",
+    "train.epochs=2",
+    "train.batch_size=128",
+    "train.num_negatives=8",
+    "train.hidden=[16,16]",
+    "bounds.epochs=2",
+    "bounds.batch_size=128",
+    "bounds.hidden=[16,16]",
+)
 
 
-def _check_hilbert_adjacency():
-    from .s2geom import hilbert
-
-    for level in (1, 3, 5):
-        for orientation in range(4):
-            pos = np.arange(4**level)
-            i, j = hilbert.position_to_xy_vec(level, pos, orientation)
-            step = np.abs(np.diff(i)) + np.abs(np.diff(j))
-            if not np.all(step == 1):
-                return f"level {level} orientation {orientation}: broken step"
-    return None
-
-
-def _check_covering():
-    from .s2geom.cellid import CellId, cells_from_latlng_vec
-    from .s2geom.region import GeoRect, cover_rect_raw, rect_intersects_cell
-
-    rng = np.random.default_rng(1)
-    rects = [
-        GeoRect(40.0, 41.0, -74.5, -73.5),
-        GeoRect(-1.0, 1.0, 179.5, -179.5),
-        GeoRect(59.0, 59.4, 17.8, 18.4),
-    ]
-    for rect in rects:
-        covering = cover_rect_raw(rect, 8)
-        members = set(int(c) for c in covering)
-        for cell in covering[:64]:
-            if not rect_intersects_cell(rect, CellId(int(cell))):
-                return f"covering cell {int(cell):016x} does not touch {rect}"
-        lat = rng.uniform(rect.lat_lo, rect.lat_hi, 400)
-        if rect.lng_lo <= rect.lng_hi:
-            lng = rng.uniform(rect.lng_lo, rect.lng_hi, 400)
-        else:
-            span = (180.0 - rect.lng_lo) + (rect.lng_hi + 180.0)
-            raw = rng.uniform(0.0, span, 400)
-            lng = np.where(
-                raw < 180.0 - rect.lng_lo, rect.lng_lo + raw, raw - (180.0 - rect.lng_lo) - 180.0
-            )
-        cells = cells_from_latlng_vec(lat, lng, 8)
-        missing = [c for c in cells if int(c) not in members]
-        if missing:
-            return f"{len(missing)} in-rect points fall outside the covering of {rect}"
-    return None
-
-
-def _check_gradients():
-    from .nn import TrunkSpec, gradient_rel_errors, init_trunk, numerical_gradient, trunk_backward, trunk_forward
-
-    rng = np.random.default_rng(2)
-    spec = TrunkSpec(("a",), (5,), 3, 2, (6, 4))
-    params = init_trunk(rng, spec, np.float64)
-    cat = rng.integers(0, 5, (8, 1))
-    cont = rng.normal(size=(8, 2))
-    target = rng.normal(size=(8, spec.output_dim))
-
-    def loss_fn():
-        h, _ = trunk_forward(params, spec, cat, cont)
-        return 0.5 * float(((h - target) ** 2).sum())
-
-    h, cache = trunk_forward(params, spec, cat, cont)
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
-    trunk_backward(params, spec, cache, h - target, grads)
-    numeric = numerical_gradient(loss_fn, params)
-    errs = gradient_rel_errors(grads, numeric)
-    worst = max(errs.values())
-    if worst >= 1e-4:
-        return f"worst relative error {worst:.3g}"
+def _check_pipeline():
+    """gen, train, sweep and compare on a tiny run in a throwaway workdir."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run = cfg.load_run_config(None, _SELFCHECK_RUN + (f"workdir={tmp}",))
+        for stage in ("gen", "train", "sweep", "compare"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                _COMMANDS[stage](run, None)
     return None
 
 
@@ -405,50 +344,9 @@ def _check_sampled_softmax():
     return None
 
 
-def _check_checkpoint():
-    tensors = {
-        "alpha": np.arange(6, dtype=np.float32).reshape(2, 3),
-        "beta": np.linspace(-1, 1, 5).astype(np.float32),
-    }
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "t.ckpt")
-        save_checkpoint(path, "cell_classifier", {"x": 1}, tensors)
-        kind, conf, loaded = load_checkpoint(path)
-    if kind != "cell_classifier" or conf != {"x": 1}:
-        return "header mismatch"
-    for name, t in tensors.items():
-        if not np.array_equal(loaded[name], t):
-            return f"tensor {name} changed"
-    return None
-
-
-def _check_index():
-    world = generate_world(GenConfig(seed=3, n_destinations=3, n_listings=800, n_train_events=10, n_eval_events=5))
-    index = ListingIndex.build(world.listings)
-    cells = index.posting_cells[:20]
-    got = index.retrieve_cells(cells, num_guests=2)
-    mask = np.isin(index.cells, cells) & (index.capacities >= 2) & index.active
-    want = np.sort(index.listing_ids[mask])
-    if not np.array_equal(got, want):
-        return "postings disagree with the linear scan"
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "p.idx")
-        save_index(path, index, "listings.tsv")
-        again, ref = load_index(path, world.listings)
-    if ref != "listings.tsv" or not np.array_equal(again.posting_ids, index.posting_ids):
-        return "round trip changed postings"
-    return None
-
-
 SELF_CHECKS = (
-    ("cell_counts", _check_cell_counts),
-    ("point_round_trip", _check_point_round_trip),
-    ("hilbert_adjacency", _check_hilbert_adjacency),
-    ("rect_covering", _check_covering),
-    ("trunk_gradients", _check_gradients),
+    ("pipeline", _check_pipeline),
     ("sampled_softmax", _check_sampled_softmax),
-    ("checkpoint_round_trip", _check_checkpoint),
-    ("listing_index", _check_index),
 )
 
 

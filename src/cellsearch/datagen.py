@@ -684,11 +684,16 @@ def write_manifest(path, cfg: GenConfig, world: World, n_train: int, n_eval: int
         f.write("\n")
 
 
-def read_manifest(path) -> dict:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format_version") != 1:
-        raise DataError(f"unsupported manifest version {doc.get('format_version')}")
+def read_json_artifact(path, what: str) -> dict:
+    """The JSON object of a format-version-1 artifact file."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except ValueError as exc:
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != 1:
+        raise DataError(f"unsupported {what} version {version} in {path}")
     return doc
 
 
@@ -706,31 +711,30 @@ def write_dataset(data_dir, cfg: GenConfig, world: World, train, eval_):
 
 def load_dataset(data_dir):
     """Reconstruct (world, train_events, eval_events) from a data dir."""
-    doc = read_manifest(os.path.join(data_dir, "manifest.json"))
-    cfg = GenConfig(
-        seed=doc["seed"],
-        n_destinations=doc["n_destinations"],
-        n_listings=doc["n_listings"],
-        n_train_events=doc["n_train_events"],
-        n_eval_events=doc["n_eval_events"],
-        outlier_rate=doc["outlier_rate"],
-        pan_discovery_rate=doc["pan_discovery_rate"],
-        continent_mix=tuple(doc["continent_mix"]),
-    )
+    path = os.path.join(data_dir, "manifest.json")
+    doc = read_json_artifact(path, "manifest")
+    try:
+        cfg = GenConfig(
+            seed=doc["seed"],
+            n_destinations=doc["n_destinations"],
+            n_listings=doc["n_listings"],
+            n_train_events=doc["n_train_events"],
+            n_eval_events=doc["n_eval_events"],
+            outlier_rate=doc["outlier_rate"],
+            pan_discovery_rate=doc["pan_discovery_rate"],
+            continent_mix=tuple(doc["continent_mix"]),
+        )
+        gap = GapInfo(
+            doc["gap_dest_id"],
+            GeoRect(*doc["gap_rect"]),
+            tuple(doc["gap_listing_ids"]),
+        )
+        popularity = np.asarray(doc["popularity"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"manifest {path} has a missing or bad field: {exc!r}") from None
     destinations = read_destinations(os.path.join(data_dir, "destinations.tsv"))
     listings = read_listings(os.path.join(data_dir, "listings.tsv"))
-    gap = GapInfo(
-        doc["gap_dest_id"],
-        GeoRect(*doc["gap_rect"]),
-        tuple(doc["gap_listing_ids"]),
-    )
-    world = World(
-        cfg,
-        destinations,
-        listings,
-        np.asarray(doc["popularity"], dtype=np.float64),
-        gap,
-    )
+    world = World(cfg, destinations, listings, popularity, gap)
     train = read_events(os.path.join(data_dir, "train_events.tsv"))
     eval_ = read_events(os.path.join(data_dir, "eval_events.tsv"))
     return world, train, eval_

@@ -116,6 +116,20 @@ class SweepResult:
         )
 
 
+def _prob_chunks(model: ShardModel, batch: EncodedBatch, chunk_size: int):
+    """(lo, hi, float64 class probabilities of rows lo:hi) chunk by chunk."""
+    n = len(batch)
+    for lo in range(0, n, chunk_size):
+        hi = min(lo + chunk_size, n)
+        yield lo, hi, model.predict_probs(batch.take(slice(lo, hi))).astype(np.float64)
+
+
+def _pick_booked(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row's probability of its class in y, -1.0 where y is -1 (OOV)."""
+    ok = y >= 0
+    return np.where(ok, probs[np.arange(y.size), np.where(ok, y, 0)], -1.0)
+
+
 def booked_cell_probs(model: ShardModel, batch: EncodedBatch, chunk_size: int = 512) -> np.ndarray:
     """Predicted probability of each search's booked cell, -1.0 where OOV."""
 
@@ -123,15 +137,9 @@ def booked_cell_probs(model: ShardModel, batch: EncodedBatch, chunk_size: int = 
     if n == 0:
         raise DataError("cannot evaluate an empty batch")
     y = model.vocab.lookup_array(batch.booked_cells)
-    out = np.full(n, -1.0)
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
-        probs = model.predict_probs(batch.take(slice(lo, hi)))
-        rows = np.arange(hi - lo)
-        yc = y[lo:hi]
-        ok = yc >= 0
-        picked = probs[rows, np.where(ok, yc, 0)].astype(np.float64)
-        out[lo:hi] = np.where(ok, picked, -1.0)
+    out = np.empty(n)
+    for lo, hi, probs in _prob_chunks(model, batch, chunk_size):
+        out[lo:hi] = _pick_booked(probs, y[lo:hi])
     return out
 
 
@@ -181,18 +189,13 @@ def sweep_shard(
     npass = index.capacity_count_table(model.vocab.classes, MAX_CAPACITY)
     npass_by_guests = np.ascontiguousarray(npass.T, dtype=np.float64)  # (g+1, k)
 
-    booked_probs = np.full(n, -1.0)
+    booked_probs = np.empty(n)
     cell_counts = np.zeros((n, n_lam))
     listing_counts = np.zeros((n, n_lam))
     max_prob = np.zeros((n_dests, k), dtype=np.float64)
 
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
-        rows = np.arange(hi - lo)
-        probs = model.predict_probs(batch.take(slice(lo, hi))).astype(np.float64)
-        yc = y[lo:hi]
-        ok = yc >= 0
-        booked_probs[lo:hi] = np.where(ok, probs[rows, np.where(ok, yc, 0)], -1.0)
+    for lo, hi, probs in _prob_chunks(model, batch, chunk_size):
+        booked_probs[lo:hi] = _pick_booked(probs, y[lo:hi])
 
         # bins[r, c] counts grid cutoffs <= probs[r, c]; a cell is retrieved
         # at cutoff j exactly when bins > j, so suffix sums over the bin
@@ -296,12 +299,24 @@ class BaselineEval:
     n_events: int
 
 
+def _rect_counts(index: ListingIndex, rects, num_guests) -> np.ndarray:
+    """Per search, the size of retrieve_rect's answer, counted by one
+    linear pass over the index's listings."""
+
+    return np.array(
+        [
+            (rect.contains(index.lats, index.lngs) & index.active & (index.capacities >= g)).sum()
+            for rect, g in zip(rects, num_guests)
+        ],
+        dtype=np.float64,
+    )
+
+
 def evaluate_baseline(
     bmodel: BoundsModel,
     batch: EncodedBatch,
     destinations,
     index: ListingIndex,
-    cover_cap: int = 200_000,
 ) -> BaselineEval:
     """Score the bounds baseline on one shard's evaluation searches.
 
@@ -321,41 +336,29 @@ def evaluate_baseline(
     coords = destination_coords(batch, destinations)
     rects = bmodel.predict_bounds(batch, coords)
     booked = batch.booked_cells
-    guests = batch.num_guests
 
     hits = np.zeros(n, dtype=bool)
     cells_per_event = np.zeros(n)
-    retrieved_per_event = np.zeros(n)
 
     dest_ids = np.unique(batch.dest_ids)
     dest_precisions = np.zeros(dest_ids.size)
     dest_recalls = np.zeros(dest_ids.size)
 
-    lats, lngs = index.lats, index.lngs
-    caps, active = index.capacities, index.active
-
     cache: dict = {}
     for di, d in enumerate(dest_ids):
         rows = np.flatnonzero(batch.dest_ids == d)
-        truth = np.unique(booked[rows])
-        seen_keys = []
+        coverings = {}  # this destination's distinct coverings, by rect
         for r in rows:
             rect = rects[r]
             key = (rect.lat_lo, rect.lat_hi, rect.lng_lo, rect.lng_hi)
-            covering = cache.get(key)
-            if covering is None:
-                covering = bounds_to_cellset(rect, cap=cover_cap)
-                cache[key] = covering
-            if not seen_keys or seen_keys[-1] != key:
-                seen_keys.append(key)
+            if key not in cache:
+                cache[key] = bounds_to_cellset(rect)
+            covering = coverings[key] = cache[key]
             pos = np.searchsorted(covering, booked[r])
             hits[r] = pos < covering.size and covering[pos] == booked[r]
             cells_per_event[r] = covering.size
-            inside = rect.contains(lats, lngs) & active & (caps >= guests[r])
-            retrieved_per_event[r] = inside.sum()
-        parts = [cache[key] for key in dict.fromkeys(seen_keys)]
-        union = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.uint64)
-        inter = int(np.isin(truth, union).sum())
+        union = np.unique(np.concatenate(list(coverings.values())))
+        inter = int(np.isin(np.unique(booked[rows]), union).sum())
         dest_precisions[di] = inter / union.size if union.size else 0.0
         dest_recalls[di] = hits[rows].mean()
 
@@ -368,7 +371,7 @@ def evaluate_baseline(
         precision_dest=float(dest_precisions.mean()),
         precision_event=precision_event,
         mean_cells=float(cells_per_event.mean()),
-        mean_retrieved=float(retrieved_per_event.mean()),
+        mean_retrieved=float(_rect_counts(index, rects, batch.num_guests).mean()),
         dest_weighted_recall=float(dest_recalls.mean()),
     )
     return BaselineEval(
@@ -430,11 +433,11 @@ def gap_statistics(
     matched_lambdas: dict,
     chunk_size: int = 512,
 ) -> GapStats:
-    """Count retrieved band listings for the gap destination's searches."""
+    """Count retrieved band listings for the gap destination's searches,
+    each route as in the shard evaluation but over the band's listings
+    alone: sweep_shard at the matched cutoff, and the rectangle count."""
 
     gap = world.gap
-    by_id = {l.listing_id: l for l in world.listings}
-    gap_listings = [by_id[i] for i in gap.listing_ids]
     dest = next(d for d in world.destinations if d.dest_id == gap.dest_id)
     shard = dest.continent
 
@@ -446,32 +449,18 @@ def gap_statistics(
     if rows.size == 0:
         return empty
     gb = batch.take(rows)
-    model = models[shard]
-    lam = float(matched_lambdas[shard])
-
-    gap_index = ListingIndex.build(gap_listings)
-    gap_npass = gap_index.capacity_count_table(model.vocab.classes, MAX_CAPACITY)
-    npass_by_guests = np.ascontiguousarray(gap_npass.T, dtype=np.float64)
-
-    cell_total = 0.0
     n = len(gb)
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
-        probs = model.predict_probs(gb.take(slice(lo, hi))).astype(np.float64)
-        sel = probs >= lam
-        guests = np.minimum(gb.num_guests[lo:hi], MAX_CAPACITY)
-        cell_total += float((sel * npass_by_guests[guests]).sum())
+    by_id = {l.listing_id: l for l in world.listings}
+    gap_index = ListingIndex.build([by_id[i] for i in gap.listing_ids])
 
-    glat = np.array([l.lat for l in gap_listings])
-    glng = np.array([l.lng for l in gap_listings])
-    gcap = np.array([l.capacity for l in gap_listings])
-    gact = np.array([l.active for l in gap_listings], dtype=bool)
-    coords = destination_coords(gb, world.destinations)
-    rects = bmodel.predict_bounds(gb, coords)
-    rect_total = 0.0
-    for r, rect in enumerate(rects):
-        inside = rect.contains(glat, glng) & gact & (gcap >= gb.num_guests[r])
-        rect_total += float(inside.sum())
+    sweep = sweep_shard(
+        models[shard], gb, gap_index, lambdas=[matched_lambdas[shard]], chunk_size=chunk_size
+    )
+    # Per-search counts are whole numbers, so their mean times n rounds
+    # back to their exact sum.
+    cell_total = float(round(sweep.mean_retrieved[0] * n))
+    rects = bmodel.predict_bounds(gb, destination_coords(gb, world.destinations))
+    rect_total = float(_rect_counts(gap_index, rects, gb.num_guests).sum())
 
     return GapStats(
         dest_id=gap.dest_id,

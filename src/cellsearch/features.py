@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Destination, SearchEvent
+from .datagen import Destination, SearchEvent, read_json_artifact
 from .errors import ConfigError, DataError
 from .s2geom import cell_from_latlng
 
@@ -100,6 +100,13 @@ class FeaturePipeline:
         return len(CONTINUOUS_FEATURES)
 
 
+def _destination_of(event: SearchEvent, dest_by_id: dict) -> Destination:
+    d = dest_by_id.get(event.dest_id)
+    if d is None:
+        raise DataError(f"event {event.search_id} references unknown destination {event.dest_id}")
+    return d
+
+
 def fit_pipeline(
     train_events: list[SearchEvent],
     destinations: list[Destination],
@@ -112,11 +119,12 @@ def fit_pipeline(
         raise ConfigError(f"bad cell levels {cell_levels!r}")
     cell_levels = tuple(int(l) for l in cell_levels)
     dest_by_id = {d.dest_id: d for d in destinations}
+    dests = [_destination_of(e, dest_by_id) for e in train_events]
 
     cont = np.array(
         [
-            continuous_raw_values(e, dest_by_id[e.dest_id])
-            for e in train_events
+            continuous_raw_values(e, d)
+            for e, d in zip(train_events, dests)
         ],
         dtype=np.float64,
     )
@@ -127,8 +135,7 @@ def fit_pipeline(
     names = categorical_feature_names(cell_levels)
     observed: dict[str, set] = {n: set() for n in names}
     dest_cell_cache: dict[int, tuple] = {}
-    for e in train_events:
-        d = dest_by_id[e.dest_id]
+    for e, d in zip(train_events, dests):
         cells = dest_cell_cache.get(d.dest_id)
         if cells is None:
             cells = destination_cells(d, cell_levels)
@@ -208,9 +215,7 @@ def encode_events(
 
     per_shard: dict[str, list] = {s: [] for s in SHARDS}
     for e in events:
-        d = dest_by_id.get(e.dest_id)
-        if d is None:
-            raise DataError(f"event {e.search_id} references unknown destination")
+        d = _destination_of(e, dest_by_id)
         cells = dest_cell_cache.get(d.dest_id)
         if cells is None:
             cells = destination_cells(d, pipeline.cell_levels)
@@ -272,21 +277,21 @@ def save_pipeline(path, pipeline: FeaturePipeline):
 
 
 def load_pipeline(path) -> FeaturePipeline:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format_version") != 1:
-        raise DataError(f"unsupported pipeline version {doc.get('format_version')}")
-    cell_levels = tuple(doc["cell_levels"])
-    cell_names = set(cell_feature_names(cell_levels))
-    vocabs = {}
-    for name, values in doc["vocabs"].items():
-        if name in cell_names:
-            vocabs[name] = {int(v): i + 1 for i, v in enumerate(values)}
-        else:
-            vocabs[name] = {v: i + 1 for i, v in enumerate(values)}
-    return FeaturePipeline(
-        cell_levels,
-        np.asarray(doc["continuous"]["mean"], dtype=np.float64),
-        np.asarray(doc["continuous"]["std"], dtype=np.float64),
-        vocabs,
-    )
+    doc = read_json_artifact(path, "pipeline")
+    try:
+        cell_levels = tuple(doc["cell_levels"])
+        cell_names = set(cell_feature_names(cell_levels))
+        vocabs = {}
+        for name, values in doc["vocabs"].items():
+            if name in cell_names:
+                vocabs[name] = {int(v): i + 1 for i, v in enumerate(values)}
+            else:
+                vocabs[name] = {v: i + 1 for i, v in enumerate(values)}
+        return FeaturePipeline(
+            cell_levels,
+            np.asarray(doc["continuous"]["mean"], dtype=np.float64),
+            np.asarray(doc["continuous"]["std"], dtype=np.float64),
+            vocabs,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"pipeline {path} has a missing or bad field: {exc!r}") from None

@@ -131,10 +131,9 @@ class ListingIndex:
         rect: GeoRect,
         num_guests: int = 1,
         active_only: bool = True,
-        cap: int = 200_000,
     ) -> np.ndarray:
         """Sorted listing ids whose point lies inside the rect."""
-        covering = cover_rect_raw(rect, RETRIEVAL_LEVEL, cap=cap)
+        covering = cover_rect_raw(rect, RETRIEVAL_LEVEL)
         ids = self.retrieve_cells(covering, num_guests=num_guests, active_only=active_only)
         if ids.size == 0:
             return ids
@@ -179,7 +178,7 @@ def load_index(path, listings) -> tuple[ListingIndex, str]:
     fresh index built from the listings; any disagreement is an error.
     """
     index = ListingIndex.build(listings)
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
         head = f.readline().split()
         if head != [INDEX_MAGIC, str(INDEX_VERSION)]:
             raise DataError("not a recognized index file")
@@ -187,7 +186,7 @@ def load_index(path, listings) -> tuple[ListingIndex, str]:
         if len(ref_line) != 2 or ref_line[0] != "listings":
             raise DataError("index file is missing the listings line")
         count_line = f.readline().split()
-        if len(count_line) != 2 or count_line[0] != "cells":
+        if len(count_line) != 2 or count_line[0] != "cells" or not count_line[1].isdecimal():
             raise DataError("index file is missing the cell count")
         n_cells = int(count_line[1])
         if n_cells != index.posting_cells.size:
@@ -199,9 +198,12 @@ def load_index(path, listings) -> tuple[ListingIndex, str]:
             parts = f.readline().split()
             if len(parts) < 2:
                 raise DataError(f"truncated posting line {k}")
-            cell = np.uint64(parts[0])
-            count = int(parts[1])
-            ids = np.array(parts[2:], dtype=np.int64)
+            try:
+                cell = np.uint64(parts[0])
+                count = int(parts[1])
+                ids = np.array(parts[2:], dtype=np.int64)
+            except (ValueError, OverflowError):
+                raise DataError(f"index file {path}: posting line {k} does not parse") from None
             if ids.size != count:
                 raise DataError(f"posting {parts[0]} count disagrees with ids")
             if cell != index.posting_cells[k]:

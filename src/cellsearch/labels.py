@@ -94,13 +94,14 @@ def save_vocab(path, vocab: LabelVocabulary):
 
 
 def load_vocab(path, shard: str) -> LabelVocabulary:
-    with open(path) as f:
-        cells = [int(line) for line in f if line.strip()]
-    if not cells:
+    try:
+        with open(path) as f:
+            cells = np.array([int(line) for line in f if line.strip()], dtype=np.uint64)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"vocabulary file {path} holds a line that is not a cell id: {exc}") from None
+    if not cells.size:
         raise DataError(f"empty vocabulary file {path}")
-    vocab = LabelVocabulary(shard, np.asarray(cells, dtype=np.uint64))
-    if vocab.classes.size != len(cells) or not np.array_equal(
-        vocab.classes, np.asarray(cells, dtype=np.uint64)
-    ):
+    vocab = LabelVocabulary(shard, cells)
+    if vocab.classes.size != cells.size or not np.array_equal(vocab.classes, cells):
         raise DataError(f"vocabulary file {path} not sorted and unique")
     return vocab

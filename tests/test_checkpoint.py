@@ -153,6 +153,16 @@ def test_model_load_validates_vocab(tmp_path):
         load_model(path, other_shard)
 
 
+def test_model_load_rejects_bad_echo_field(tmp_path):
+    model = tiny_model(num_negatives=2)
+    path = tmp_path / "model.ckpt"
+    for field, value in (("hidden", 5), ("learning_rate", -1.0)):
+        echo = dict(model_config_echo(model), **{field: value})
+        save_checkpoint(path, "cell_classifier", echo, model.params)
+        with pytest.raises(DataError, match="bad field"):
+            load_model(path, model.vocab)
+
+
 def test_model_load_rejects_other_kind(tmp_path):
     model = tiny_model(num_negatives=2)
     path = tmp_path / "model.ckpt"

@@ -3,14 +3,18 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 import cellsearch
+from cellsearch import cli
 from cellsearch.cli import main
 from cellsearch.datagen import load_dataset
+from cellsearch.errors import DataError
 from cellsearch.features import SHARDS, encode_events, fit_pipeline
 from cellsearch.labels import build_vocab
 
@@ -175,14 +179,31 @@ def test_exit_codes_for_missing_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_selfcheck_passes(capsys):
+def test_selfcheck_passes(tmp_path, monkeypatch, capsys):
+    # Run from an empty directory and keep the check's temporary files
+    # under tmp_path, so anything left behind shows up in either place.
+    cwd, temp = tmp_path / "cwd", tmp_path / "temp"
+    cwd.mkdir()
+    temp.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
     assert main(["selfcheck"]) == 0
-    out = capsys.readouterr().out
-    lines = [l for l in out.splitlines() if l]
-    assert len(lines) >= 6
-    assert all(l.startswith("[ok] ") for l in lines)
-    names = {l.split()[1] for l in lines}
-    assert {"cell_counts", "hilbert_adjacency", "trunk_gradients", "sampled_softmax"} <= names
+    lines = [l for l in capsys.readouterr().out.splitlines() if l]
+    assert lines == ["[ok] pipeline", "[ok] sampled_softmax"]
+    assert list(cwd.iterdir()) == [] and list(temp.iterdir()) == []
+
+
+def test_selfcheck_reports_a_failing_stage(monkeypatch, capsys):
+    def broken_train(run, args):
+        raise DataError("planted failure")
+
+    monkeypatch.setitem(cli._COMMANDS, "train", broken_train)
+    assert main(["selfcheck"]) == 1
+    lines = [l for l in capsys.readouterr().out.splitlines() if l]
+    assert lines == [
+        "[FAIL] pipeline: DataError: planted failure",
+        "[ok] sampled_softmax",
+    ]
 
 
 def test_full_scale_flag_changes_train_shape(tmp_path, capsys):
@@ -234,21 +255,117 @@ def test_train_failing_mid_fit_writes_nothing(fresh_data, capsys):
     assert _trained_artifacts(workdir) == []
 
 
+def _run_cli(command, cfg_path):
+    """Run one command in a separate process, so that an uncaught
+    exception prints its traceback to stderr instead of failing inside
+    the test."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cellsearch.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "cellsearch.cli", command, "--config", str(cfg_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _set_event_field(path, row, field, value):
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[row].split("\t")
+    fields[field] = value
+    lines[row] = "\t".join(fields)
+    path.write_text("".join(lines))
+
+
 def test_malformed_event_field_is_a_data_error(fresh_data, capsys):
     cfg_path, workdir = fresh_data
     path = workdir / "data" / "eval_events.tsv"
-    lines = path.read_text().splitlines(keepends=True)
-    fields = lines[3].split("\t")
-    fields[1] = "x" + fields[1]  # dest_id
-    lines[3] = "\t".join(fields)
-    path.write_text("".join(lines))
-    # A separate process, so that an uncaught exception would print its
-    # traceback to stderr instead of failing inside the test.
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cellsearch.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cellsearch.cli", "compare", "--config", str(cfg_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    dest_id = path.read_text().splitlines()[3].split("\t")[1]
+    _set_event_field(path, 3, 1, "x" + dest_id)
+    proc = _run_cli("compare", cfg_path)
     assert proc.returncode == 3
     assert "eval_events.tsv:4" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_unknown_training_destination_is_a_data_error(fresh_data, capsys):
+    cfg_path, workdir = fresh_data
+    path = workdir / "data" / "train_events.tsv"
+    search_id = path.read_text().splitlines()[5].split("\t")[0]
+    _set_event_field(path, 5, 1, "9999")
+    proc = _run_cli("train", cfg_path)
+    assert proc.returncode == 3
+    assert f"event {search_id} references unknown destination 9999" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert _trained_artifacts(workdir) == []
+
+
+def test_train_with_zero_epochs_writes_every_artifact(fresh_data, capsys):
+    cfg_path, workdir = fresh_data
+    rc = main(["train", "--config", str(cfg_path), "--set", "train.epochs=0", "--set", "bounds.epochs=0"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^shard EU: events \d+ classes \d+ epochs 0$", out, re.M)
+    assert re.search(r"^baseline: epochs 0$", out, re.M)
+    assert _trained_artifacts(workdir) == sorted(
+        ["pipeline.json", "baseline.ckpt", "postings.idx"]
+        + [f"vocab_{s}.txt" for s in SHARDS]
+        + [f"model_{s}.ckpt" for s in SHARDS]
+    )
+
+
+def _replace_middle_line(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[len(lines) // 2] = "x y z\n"
+    path.write_text("".join(lines))
+
+
+def _overwrite_with_binary(path):
+    path.write_bytes(b"\xff\xfe\x00\x9c not text\n")
+
+
+def _truncate_to_half(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+
+
+def _drop_json_key(key):
+    def garble(path):
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+
+    return garble
+
+
+@pytest.mark.parametrize(
+    "name, garble",
+    [
+        ("vocab_EU.txt", _replace_middle_line),
+        ("data/manifest.json", _replace_middle_line),
+        ("data/manifest.json", _drop_json_key("seed")),
+        ("pipeline.json", _replace_middle_line),
+        ("pipeline.json", _drop_json_key("vocabs")),
+        ("model_EU.ckpt", _truncate_to_half),
+        ("postings.idx", _replace_middle_line),
+        ("postings.idx", _overwrite_with_binary),
+    ],
+    ids=[
+        "vocab-garbled",
+        "manifest-garbled",
+        "manifest-missing-key",
+        "pipeline-garbled",
+        "pipeline-missing-key",
+        "checkpoint-truncated",
+        "postings-garbled",
+        "postings-binary",
+    ],
+)
+def test_damaged_artifact_is_a_data_error(pipeline_dir, tmp_path, name, garble):
+    base, cfg_path, workdir = pipeline_dir
+    copy = tmp_path / "run"
+    shutil.copytree(workdir, copy)
+    own_cfg = tmp_path / "cfg.json"
+    own_cfg.write_text(json.dumps(dict(CFG, workdir=str(copy))))
+    garble(copy / name)
+    proc = _run_cli("compare", own_cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("data error: ")
