@@ -10,7 +10,7 @@ the raw coordinates is all that is needed to make results precise.
 
 import numpy as np
 
-from cellsearch.s2geom import CellId, GeoRect, cell_centers_vec, cover_rect_raw
+from cellsearch.s2geom import CellId, GeoRect, cell_centers_vec, cover_rect_raw, cover_rects_raw
 
 # 1. A small city-scale rectangle covered at the retrieval level.
 rect = GeoRect(lat_lo=48.80, lat_hi=48.92, lng_lo=2.20, lng_hi=2.45)
@@ -49,3 +49,14 @@ print("contains (-17.8, 0.0):", bool(fiji.contains(-17.8, 0.0)))
 # roughly 4x per level once the rect spans many cells.
 for level in (6, 8, 10, 11):
     print(f"level {level:2d}: {cover_rect_raw(rect, level).size} cells")
+
+# 6. Many rectangles are covered in one pass: cover_rects_raw refines the
+# boundary cells of every rect together and emits cells lying wholly
+# inside a rect as one range of curve positions, without refining them.
+# Each result equals the rect's own covering.
+rects = [rect, fiji, GeoRect(-20.0, -18.5, 46.0, 48.0), GeoRect(64.0, 66.0, -20.0, -17.0)]
+together = cover_rects_raw(rects, level=11)
+alone = [cover_rect_raw(r, level=11) for r in rects]
+print(f"\n{len(rects)} rects in one pass -> {[c.size for c in together]} level 11 cells")
+print("equal to the per-rect coverings:",
+      all(np.array_equal(t, a) for t, a in zip(together, alone)))

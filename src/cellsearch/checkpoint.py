@@ -24,7 +24,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .baseline import BOUNDS_STREAM, BoundsConfig, BoundsModel
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, data_file
 from .features import SHARDS
 from .model import ShardModel, TrainConfig
 from .nn import DTYPES, TrunkSpec
@@ -60,6 +60,11 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (kind, config, tensors) with tensors an
     ordered dict of float32 arrays in header order."""
     raw = open(path, "rb").read()
+    with data_file(path):
+        return _parse_checkpoint(raw)
+
+
+def _parse_checkpoint(raw: bytes):
     lines = []
     pos = 0
     while True:
@@ -152,35 +157,36 @@ def _load_trunk_model(path, kind: str, config_cls, stream: int, n_outputs: int, 
     header echo field that must hold the given value. The rng is seeded
     like the built model's, from the config seed and the stream index."""
     found, echo, tensors = load_checkpoint(path)
-    if found != kind:
-        raise DataError(f"expected a {kind} checkpoint, got {found!r}")
-    try:
-        values = {f.name: echo[f.name] for f in fields(config_cls)}
-        config = config_cls(**dict(values, hidden=tuple(echo["hidden"])))
-        spec = TrunkSpec(
-            emb_names=tuple(echo["categorical_features"]),
-            emb_rows=tuple(echo["emb_rows"]),
-            emb_dim=echo["embed_dim"],
-            n_continuous=echo["n_continuous"],
-            hidden=tuple(echo["hidden"]),
+    with data_file(path):
+        if found != kind:
+            raise DataError(f"expected a {kind} checkpoint, got {found!r}")
+        try:
+            values = {f.name: echo[f.name] for f in fields(config_cls)}
+            config = config_cls(**dict(values, hidden=tuple(echo["hidden"])))
+            spec = TrunkSpec(
+                emb_names=tuple(echo["categorical_features"]),
+                emb_rows=tuple(echo["emb_rows"]),
+                emb_dim=echo["embed_dim"],
+                n_continuous=echo["n_continuous"],
+                hidden=tuple(echo["hidden"]),
+            )
+            trained = bool(echo["trained"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"checkpoint config has a missing or bad field: {e!r}") from None
+        for key, value in expected.items():
+            if echo.get(key) != value:
+                raise DataError(f"checkpoint has {key} {echo.get(key)!r}, expected {value!r}")
+        if list(tensors) != spec.param_names() + ["out_w", "out_b"]:
+            raise DataError("checkpoint tensors do not match the model layout")
+        dtype = DTYPES[config.dtype]
+        params = {name: tensors[name].astype(dtype) for name in tensors}
+        shapes_ok = (
+            params["out_w"].shape == (spec.output_dim, n_outputs)
+            and params["out_b"].shape == (n_outputs,)
+            and params["w1"].shape == (spec.input_dim, spec.hidden[0])
         )
-        trained = bool(echo["trained"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"checkpoint config has a missing or bad field: {e!r}") from None
-    for key, value in expected.items():
-        if echo.get(key) != value:
-            raise DataError(f"checkpoint has {key} {echo.get(key)!r}, expected {value!r}")
-    if list(tensors) != spec.param_names() + ["out_w", "out_b"]:
-        raise DataError("checkpoint tensors do not match the model layout")
-    dtype = DTYPES[config.dtype]
-    params = {name: tensors[name].astype(dtype) for name in tensors}
-    shapes_ok = (
-        params["out_w"].shape == (spec.output_dim, n_outputs)
-        and params["out_b"].shape == (n_outputs,)
-        and params["w1"].shape == (spec.input_dim, spec.hidden[0])
-    )
-    if not shapes_ok:
-        raise DataError("checkpoint tensor shapes do not match the model layout")
+        if not shapes_ok:
+            raise DataError("checkpoint tensor shapes do not match the model layout")
     return config, spec, params, np.random.default_rng((config.seed, stream)), trained
 
 

@@ -4,6 +4,8 @@ The CLI maps each family to a distinct exit code, so library code should
 raise the most specific class that applies.
 """
 
+from contextlib import contextmanager
+
 
 class CellSearchError(Exception):
     """Base class for all package errors."""
@@ -15,6 +17,16 @@ class ConfigError(CellSearchError, ValueError):
 
 class DataError(CellSearchError, ValueError):
     """Malformed, inconsistent, or missing input data."""
+
+
+@contextmanager
+def data_file(path):
+    """Prefix the message of a DataError raised inside with the file's path,
+    so a damaged artifact is named in the error."""
+    try:
+        yield
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 class InvalidCellError(DataError):

@@ -39,12 +39,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import BoundsModel, bounds_to_cellset, destination_coords
+from .baseline import BoundsModel, destination_coords
 from .datagen import MAX_CAPACITY, World
 from .errors import ConfigError, DataError
 from .features import SHARDS, EncodedBatch
 from .index import ListingIndex
+from .labels import RETRIEVAL_LEVEL
 from .model import ShardModel
+from .s2geom import cover_rects_raw
 
 LAMBDA_GRID = np.logspace(-5.0, -1.0, 40)
 
@@ -299,17 +301,27 @@ class BaselineEval:
     n_events: int
 
 
-def _rect_counts(index: ListingIndex, rects, num_guests) -> np.ndarray:
-    """Per search, the size of retrieve_rect's answer, counted by one
-    linear pass over the index's listings."""
+def _coverings(rects) -> list:
+    """Each rect's retrieval-level covering. The distinct rects (exact float
+    bounds) are covered together in one batched pass; repeats share one
+    array."""
+    first: dict = {}
+    which = [first.setdefault(rect, len(first)) for rect in rects]
+    distinct = cover_rects_raw(list(first), RETRIEVAL_LEVEL)
+    return [distinct[k] for k in which]
 
-    return np.array(
-        [
-            (rect.contains(index.lats, index.lngs) & index.active & (index.capacities >= g)).sum()
-            for rect, g in zip(rects, num_guests)
-        ],
-        dtype=np.float64,
-    )
+
+def _rect_counts(index: ListingIndex, rects, coverings, num_guests) -> np.ndarray:
+    """Per search, the size of retrieve_rect's answer: the listings posted
+    under the rect's covering (postings hold active listings only) that
+    lie in the rect and seat the party."""
+
+    counts = np.empty(len(rects))
+    for r, (rect, covering, g) in enumerate(zip(rects, coverings, num_guests)):
+        rows = index.posting_rows(covering)
+        inside = rect.contains(index.lats[rows], index.lngs[rows])
+        counts[r] = np.count_nonzero(inside & (index.capacities[rows] >= g))
+    return counts
 
 
 def evaluate_baseline(
@@ -323,11 +335,11 @@ def evaluate_baseline(
     Each search's predicted rectangle is expanded to its retrieval-level
     covering; the covering is the exact set of retrieval cells touching
     the rectangle, so membership of the booked cell in it decides recall.
-    Retrieved listings are counted directly from the listing store with
-    the point-in-rectangle test and the guest capacity filter, matching
-    retrieve_rect. Coverings are cached per distinct rectangle (exact
-    float key) because searches for one destination often repeat feature
-    combinations.
+    Retrieved listings are counted through the postings of the covering
+    with the point-in-rectangle test and the guest capacity filter,
+    matching retrieve_rect. The shard's distinct rectangles (exact float
+    key; searches for one destination often repeat feature combinations)
+    are covered together in one batched pass.
     """
 
     n = len(batch)
@@ -336,6 +348,7 @@ def evaluate_baseline(
     coords = destination_coords(batch, destinations)
     rects = bmodel.predict_bounds(batch, coords)
     booked = batch.booked_cells
+    coverings = _coverings(rects)
 
     hits = np.zeros(n, dtype=bool)
     cells_per_event = np.zeros(n)
@@ -344,20 +357,14 @@ def evaluate_baseline(
     dest_precisions = np.zeros(dest_ids.size)
     dest_recalls = np.zeros(dest_ids.size)
 
-    cache: dict = {}
     for di, d in enumerate(dest_ids):
         rows = np.flatnonzero(batch.dest_ids == d)
-        coverings = {}  # this destination's distinct coverings, by rect
         for r in rows:
-            rect = rects[r]
-            key = (rect.lat_lo, rect.lat_hi, rect.lng_lo, rect.lng_hi)
-            if key not in cache:
-                cache[key] = bounds_to_cellset(rect)
-            covering = coverings[key] = cache[key]
+            covering = coverings[r]
             pos = np.searchsorted(covering, booked[r])
             hits[r] = pos < covering.size and covering[pos] == booked[r]
             cells_per_event[r] = covering.size
-        union = np.unique(np.concatenate(list(coverings.values())))
+        union = np.unique(np.concatenate([coverings[r] for r in rows]))
         inter = int(np.isin(np.unique(booked[rows]), union).sum())
         dest_precisions[di] = inter / union.size if union.size else 0.0
         dest_recalls[di] = hits[rows].mean()
@@ -371,7 +378,7 @@ def evaluate_baseline(
         precision_dest=float(dest_precisions.mean()),
         precision_event=precision_event,
         mean_cells=float(cells_per_event.mean()),
-        mean_retrieved=float(_rect_counts(index, rects, batch.num_guests).mean()),
+        mean_retrieved=float(_rect_counts(index, rects, coverings, batch.num_guests).mean()),
         dest_weighted_recall=float(dest_recalls.mean()),
     )
     return BaselineEval(
@@ -460,7 +467,7 @@ def gap_statistics(
     # back to their exact sum.
     cell_total = float(round(sweep.mean_retrieved[0] * n))
     rects = bmodel.predict_bounds(gb, destination_coords(gb, world.destinations))
-    rect_total = float(_rect_counts(gap_index, rects, gb.num_guests).sum())
+    rect_total = float(_rect_counts(gap_index, rects, _coverings(rects), gb.num_guests).sum())
 
     return GapStats(
         dest_id=gap.dest_id,

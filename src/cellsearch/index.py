@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, data_file
 from .labels import RETRIEVAL_LEVEL, is_retrieval_level_raw
 from .s2geom import GeoRect, cells_from_latlng_vec, cover_rect_raw
 
@@ -48,6 +48,7 @@ class ListingIndex:
         self.posting_cells, starts = np.unique(active_cells, return_index=True)
         self.posting_offsets = np.append(starts, active_cells.size).astype(np.int64)
         self.posting_ids = active_ids
+        self._posting_rows = np.flatnonzero(active)[order]
         # Capacities sorted within each posting, for count queries.
         self._posting_caps = np.empty(active_ids.size, dtype=np.int64)
         caps = capacities[active][order]
@@ -90,6 +91,22 @@ class ListingIndex:
         if k == self.posting_cells.size or self.posting_cells[k] != cell:
             return np.empty(0, dtype=np.int64)
         return self.posting_ids[self.posting_offsets[k] : self.posting_offsets[k + 1]]
+
+    def posting_rows(self, cells) -> np.ndarray:
+        """Store rows of the active listings posted under the given
+        sorted, distinct cells."""
+        cells = np.asarray(cells, dtype=np.uint64)
+        n = self.posting_cells.size
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
+        k = np.searchsorted(self.posting_cells, cells)
+        k = k[(k < n) & (self.posting_cells[np.minimum(k, n - 1)] == cells)]
+        starts = self.posting_offsets[k]
+        lengths = self.posting_offsets[k + 1] - starts
+        # Concatenate the posting slices: row t of the output is entry
+        # t - (output offset of its slice) + (start of its slice).
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return self._posting_rows[shift + np.arange(shift.size)]
 
     def _scan(self, cell_set, num_guests) -> np.ndarray:
         mask = np.isin(self.cells, cell_set) & (self.capacities >= num_guests)
@@ -178,7 +195,7 @@ def load_index(path, listings) -> tuple[ListingIndex, str]:
     fresh index built from the listings; any disagreement is an error.
     """
     index = ListingIndex.build(listings)
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
+    with open(path, "r", encoding="utf-8", errors="replace") as f, data_file(path):
         head = f.readline().split()
         if head != [INDEX_MAGIC, str(INDEX_VERSION)]:
             raise DataError("not a recognized index file")
@@ -203,7 +220,7 @@ def load_index(path, listings) -> tuple[ListingIndex, str]:
                 count = int(parts[1])
                 ids = np.array(parts[2:], dtype=np.int64)
             except (ValueError, OverflowError):
-                raise DataError(f"index file {path}: posting line {k} does not parse") from None
+                raise DataError(f"posting line {k} does not parse") from None
             if ids.size != count:
                 raise DataError(f"posting {parts[0]} count disagrees with ids")
             if cell != index.posting_cells[k]:

@@ -17,6 +17,25 @@ and the rect's longitude span. The predicate is monotone (a child cell
 intersecting implies its parent intersects), which makes breadth-first
 refinement from the six face cells equivalent to filtering a full
 enumeration of the target level.
+
+Coverings are made for many rects in one breadth-first pass. Every live
+cell carries the id of the rect it is tested against, and the rects'
+geometry is held in arrays indexed by that id: bounds, witness points on
+all six faces, meridian segments and latitude-circle sines, each padded
+to a fixed width with entries that never hit. One predicate call then
+tests all cells of a level against their own rects.
+
+The predicate also marks interior cells: all four corners inside the
+rect, no rect edge crossing a cell edge and no witness inside the cell.
+Such a cell lies wholly inside the rect, so it is not refined; its
+target-level descendants are emitted at once as the range of Hilbert
+positions under it. Only boundary cells are refined, the interior
+covering idea of S2's RegionCoverer.
+
+Rects go through the pass in chunks of 16. Smaller chunks pay numpy's
+fixed cost per call more often. Larger chunks grow every level's
+arrays, and with them peak memory, and measured no faster on coverings
+of about a thousand level-11 cells.
 """
 
 from __future__ import annotations
@@ -115,195 +134,230 @@ class GeoRect:
         return lat, lng
 
 
-class _RectGeometry:
-    """Per-rect precomputation shared across predicate calls."""
+def _witnesses(rect: GeoRect) -> list:
+    """(lat, lng) points of the rect that might lie strictly inside a cell:
+    its corners (four points per latitude on a full-longitude rect) and
+    the poles it reaches."""
+    lngs = (-180.0, -90.0, 0.0, 90.0) if rect.is_full_lng else (rect.lng_lo, rect.lng_hi)
+    witness = [(lat, lng) for lat in (rect.lat_lo, rect.lat_hi) for lng in lngs]
+    if rect.lat_hi == 90.0:
+        witness.append((90.0, 0.0))
+    if rect.lat_lo == -90.0:
+        witness.append((-90.0, 0.0))
+    return witness
 
-    def __init__(self, rect: GeoRect):
-        self.rect = rect
-        self.lng_lo_r = math.radians(rect.lng_lo)
-        self.lng_len_r = math.radians(rect.lng_length)
-        self.full_lng = rect.is_full_lng
 
-        # Witness points of the rect that might lie strictly inside a cell.
-        witness = []
-        lats = (rect.lat_lo, rect.lat_hi)
-        if self.full_lng:
-            for lat in lats:
-                for lng in (-180.0, -90.0, 0.0, 90.0):
-                    witness.append((lat, lng))
-        else:
-            for lat in lats:
-                for lng in (rect.lng_lo, rect.lng_hi):
-                    witness.append((lat, lng))
-        if rect.lat_hi == 90.0:
-            witness.append((90.0, 0.0))
-        if rect.lat_lo == -90.0:
-            witness.append((-90.0, 0.0))
-        w = np.array(witness, dtype=np.float64)
-        wxyz = transforms.latlng_to_xyz(w[:, 0], w[:, 1])  # (w, 3)
+def _meridians(rect: GeoRect) -> list:
+    """Meridian edges as geodesic segments (c, d). Segments spanning more
+    than 90 degrees are split so no segment comes close to antipodal
+    endpoints (pole-to-pole meridians would degenerate)."""
+    if rect.is_full_lng or not rect.lat_lo < rect.lat_hi:
+        return []
+    stops = [rect.lat_lo, rect.lat_hi]
+    if rect.lat_hi - rect.lat_lo > 90.0:
+        stops.insert(1, 0.5 * (rect.lat_lo + rect.lat_hi))
+    return [
+        (transforms.latlng_to_xyz(lo, lng), transforms.latlng_to_xyz(hi, lng))
+        for lng in (rect.lng_lo, rect.lng_hi)
+        for lo, hi in zip(stops, stops[1:])
+    ]
+
+
+# Widths of the padded per-rect tables: two latitudes times four witness
+# longitudes plus both poles; two longitudes times two meridian segments;
+# two latitude circles.
+_MAX_WITNESSES = 10
+_MAX_MERIDIANS = 4
+_MAX_LAT_EDGES = 2
+
+
+class _RectArrays:
+    """Geometry of a list of rects as arrays indexed by rect id.
+
+    Padding never changes a predicate: padded witnesses have w_valid
+    False, padded meridian segments are zero vectors (which never cross
+    strictly) and padded latitude sines are NaN (which never reach).
+    """
+
+    def __init__(self, rects):
+        m = len(rects)
+        self.lat_lo = np.array([r.lat_lo for r in rects], dtype=np.float64)
+        self.lat_hi = np.array([r.lat_hi for r in rects], dtype=np.float64)
+        self.lng_lo = np.array([r.lng_lo for r in rects], dtype=np.float64)
+        self.lng_len = np.array([r.lng_length for r in rects], dtype=np.float64)
+        self.lng_lo_r = np.array([math.radians(r.lng_lo) for r in rects])
+        self.lng_len_r = np.array([math.radians(r.lng_length) for r in rects])
+        self.full_lng = np.array([r.is_full_lng for r in rects], dtype=bool)
+        self.point = np.array([r.is_point for r in rects], dtype=bool)
+        self.full_sphere = np.array([r.is_full_sphere for r in rects], dtype=bool)
 
         # Face-local coordinates of every witness on all six faces.
-        d = wxyz @ transforms.FACE_NORMALS.T  # (w, 6)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            wu = (wxyz @ transforms.FACE_U_AXES.T) / d
-            wv = (wxyz @ transforms.FACE_V_AXES.T) / d
-        self.w_valid = d.T > 0  # (6, w)
-        self.w_u = wu.T
-        self.w_v = wv.T
+        self.w_valid = np.zeros((m, 6, _MAX_WITNESSES), dtype=bool)
+        self.w_u = np.zeros((m, 6, _MAX_WITNESSES))
+        self.w_v = np.zeros((m, 6, _MAX_WITNESSES))
+        # Per meridian slot and rect id: c, d and c x d as nine rows.
+        self.meridians = np.zeros((9, _MAX_MERIDIANS, m))
+        # Latitude-circle edges strictly between the poles, as sines.
+        self.sin_lat = np.full((_MAX_LAT_EDGES, m), np.nan)
+        self.n_meridians = self.n_lat_edges = 0
+        for k, rect in enumerate(rects):
+            w = np.array(_witnesses(rect), dtype=np.float64)
+            wxyz = transforms.latlng_to_xyz(w[:, 0], w[:, 1])  # (w, 3)
+            d = wxyz @ transforms.FACE_NORMALS.T  # (w, 6)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                wu = (wxyz @ transforms.FACE_U_AXES.T) / d
+                wv = (wxyz @ transforms.FACE_V_AXES.T) / d
+            self.w_valid[k, :, : w.shape[0]] = d.T > 0
+            self.w_u[k, :, : w.shape[0]] = wu.T
+            self.w_v[k, :, : w.shape[0]] = wv.T
 
-        # Meridian edges (geodesic segments at lng_lo / lng_hi). Segments
-        # spanning more than 90 degrees are split so no segment comes close
-        # to antipodal endpoints (pole-to-pole meridians would degenerate).
-        self.meridians = []
-        if not self.full_lng and rect.lat_lo < rect.lat_hi:
-            stops = [rect.lat_lo, rect.lat_hi]
-            if rect.lat_hi - rect.lat_lo > 90.0:
-                stops.insert(1, 0.5 * (rect.lat_lo + rect.lat_hi))
-            for lng in (rect.lng_lo, rect.lng_hi):
-                for lo, hi in zip(stops, stops[1:]):
-                    c = transforms.latlng_to_xyz(lo, lng)
-                    dpt = transforms.latlng_to_xyz(hi, lng)
-                    self.meridians.append((c, dpt))
+            meridians = _meridians(rect)
+            for s, (c, dpt) in enumerate(meridians):
+                self.meridians[:, s, k] = np.concatenate([c, dpt, np.cross(c, dpt)])
+            lats = [lat for lat in sorted({rect.lat_lo, rect.lat_hi}) if -90.0 < lat < 90.0]
+            for s, lat in enumerate(lats):
+                self.sin_lat[s, k] = math.sin(math.radians(lat))
+            self.n_meridians = max(self.n_meridians, len(meridians))
+            self.n_lat_edges = max(self.n_lat_edges, len(lats))
 
-        # Latitude-circle edges strictly between the poles.
-        self.lat_edges = [
-            math.sin(math.radians(lat))
-            for lat in sorted({rect.lat_lo, rect.lat_hi})
-            if -90.0 < lat < 90.0
-        ]
-
-    def lng_contains_rad(self, lng_r: np.ndarray) -> np.ndarray:
-        if self.full_lng:
-            return np.ones(lng_r.shape, dtype=bool)
-        return np.mod(lng_r - self.lng_lo_r, _TWO_PI) <= self.lng_len_r
-
-
-def _simple_crossing_vec(a, b, c, d) -> np.ndarray:
-    """Strict geodesic crossing of edges (a_k, b_k) with segment (c, d)."""
-    ab = np.cross(a, b)
-    acb = -(ab @ c)
-    bda = ab @ d
-    cd = np.cross(c, d)
-    cbd = -(b @ cd)
-    dac = a @ cd
-    return (acb * bda > 0) & (acb * cbd > 0) & (acb * dac > 0)
+    def lng_contains_rad(self, rid, lng_r: np.ndarray) -> np.ndarray:
+        """Is each longitude (radians) in the span of its rect rid?"""
+        return self.full_lng[rid] | (
+            np.mod(lng_r - self.lng_lo_r[rid], _TWO_PI) <= self.lng_len_r[rid]
+        )
 
 
-def _intersects_lat_edge_vec(a, b, sin_lat: float, geom: _RectGeometry) -> np.ndarray:
-    """Do edges (a_k, b_k) cross the latitude circle z = sin_lat inside the
-    rect's longitude span?"""
-    z = np.cross(a, b)
-    nz = np.linalg.norm(z, axis=-1)
+def _dot(p, q):
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _meridian_crossings(g: _RectArrays, rid, a, b, ab) -> np.ndarray:
+    """Do edges (a_k, b_k), given as xyz rows with their cross product ab,
+    strictly cross a meridian segment (c, d) of rect rid_k?"""
+    seg = np.take(g.meridians[:, : g.n_meridians], rid, axis=2)  # (9, slots, edges)
+    c, d, cd = seg[0:3], seg[3:6], seg[6:9]
+    acb = -_dot(ab, c)
+    bda = _dot(ab, d)
+    cbd = -_dot(b, cd)
+    dac = _dot(a, cd)
+    return ((acb * bda > 0) & (acb * cbd > 0) & (acb * dac > 0)).any(axis=0)
+
+
+def _lat_edge_crossings(g: _RectArrays, rid, a, b, ab) -> np.ndarray:
+    """Do edges (a_k, b_k), given as xyz rows with their cross product ab,
+    cross a latitude circle of rect rid_k inside its longitude span?"""
+    nz = np.sqrt(_dot(ab, ab))
     ok = nz > 1e-300
-    z = z / np.where(ok, nz, 1.0)[..., None]
-    z = np.where(z[..., 2:3] < 0, -z, z)
+    nz = np.where(ok, nz, 1.0)
+    z = tuple(c / nz for c in ab)
+    flip = z[2] < 0
+    z = tuple(np.where(flip, -c, c) for c in z)
 
     # Basis (x, y, z) with x pointing at the great circle's highest latitude.
-    ny = np.hypot(z[..., 0], z[..., 1])
+    ny = np.hypot(z[0], z[1])
     ok &= ny > 1e-15  # edge along the equator: handled by containment tests
-    ny_safe = np.where(ok, ny, 1.0)
-    y = np.stack([z[..., 1], -z[..., 0], np.zeros(ny.shape)], axis=-1) / ny_safe[..., None]
-    x = np.cross(y, z)
-
-    x2 = x[..., 2]
-    reach = ok & (np.abs(sin_lat) < x2)
-    x2_safe = np.where(reach, x2, 1.0)
-    cos_t = np.clip(sin_lat / x2_safe, -1.0, 1.0)
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
+    ny = np.where(ok, ny, 1.0)
+    y = (z[1] / ny, -z[0] / ny, 0.0)
+    x = _cross(y, z)
 
     # Angular span of the edge within its great circle.
-    a_ang = np.arctan2(np.einsum("...i,...i->...", a, y), np.einsum("...i,...i->...", a, x))
-    b_ang = np.arctan2(np.einsum("...i,...i->...", b, y), np.einsum("...i,...i->...", b, x))
+    a_ang = np.arctan2(_dot(a, y), _dot(a, x))
+    b_ang = np.arctan2(_dot(b, y), _dot(b, x))
     fwd = np.mod(b_ang - a_ang, _TWO_PI)
     swap = fwd > math.pi
     lo = np.where(swap, b_ang, a_ang)
     length = np.where(swap, _TWO_PI - fwd, fwd)
 
-    hit = np.zeros(a.shape[:-1], dtype=bool)
+    # Both hit angles on every latitude slot at once: (slots, edges).
+    sin_lat = g.sin_lat[: g.n_lat_edges, rid]
+    reach = ok & (np.abs(sin_lat) < x[2])
+    cos_t = np.clip(sin_lat / np.where(reach, x[2], 1.0), -1.0, 1.0)
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
     theta = np.arctan2(sin_t, cos_t)
+    hit = np.zeros(reach.shape, dtype=bool)
     for sign in (1.0, -1.0):
         t = sign * theta
         in_arc = np.mod(t - lo, _TWO_PI) <= length
-        px = x[..., 0] * cos_t + sign * y[..., 0] * sin_t
-        py = x[..., 1] * cos_t + sign * y[..., 1] * sin_t
-        lng_pt = np.arctan2(py, px)
-        hit |= reach & in_arc & geom.lng_contains_rad(lng_pt)
-    return hit
+        px = x[0] * cos_t + sign * y[0] * sin_t
+        py = x[1] * cos_t + sign * y[1] * sin_t
+        hit |= reach & in_arc & g.lng_contains_rad(rid, np.arctan2(py, px))
+    return hit.any(axis=0)
 
 
-def _cells_uv_bounds(i, j, level: int):
-    size = float(1 << level)
-    u0 = transforms.st_to_uv(i / size)
-    u1 = transforms.st_to_uv((i + 1) / size)
-    v0 = transforms.st_to_uv(j / size)
-    v1 = transforms.st_to_uv((j + 1) / size)
-    return u0, u1, v0, v1
+def _rect_intersects_ij(g: _RectArrays, rid, face, i, j, level: int):
+    """(intersects, interior) for cells given as (face, i, j) arrays at one
+    level, each tested against its own rect rid.
 
-
-def _rect_intersects_ij(geom: _RectGeometry, face, i, j, level: int) -> np.ndarray:
-    """Vectorized exact intersection of one rect with cells given as
-    (face, i, j) arrays at a single level."""
-    rect = geom.rect
+    A cell is interior when all four corners lie in the rect, no rect edge
+    crosses a cell edge and no witness lies in the cell: the rect's
+    boundary then misses the cell, so the whole cell lies in the rect.
+    """
     n = face.shape[0]
-    if rect.is_full_sphere:
-        return np.ones(n, dtype=bool)
-
-    face = face.astype(np.int64)
     i = np.asarray(i, dtype=np.float64)
     j = np.asarray(j, dtype=np.float64)
-    u0, u1, v0, v1 = _cells_uv_bounds(i, j, level)
+    size = float(1 << level)
+    u0, u1, v0, v1 = transforms.st_to_uv(np.concatenate([i, i + 1, j, j + 1]) / size).reshape(4, n)
 
     # Rect witnesses inside the cell (closed uv box, front hemisphere).
-    wu = geom.w_u[face]  # (n, w)
-    wv = geom.w_v[face]
-    inside = (
-        geom.w_valid[face]
+    wu = g.w_u[rid, face]  # (n, w)
+    wv = g.w_v[rid, face]
+    witness = (
+        g.w_valid[rid, face]
         & (wu >= u0[:, None])
         & (wu <= u1[:, None])
         & (wv >= v0[:, None])
         & (wv <= v1[:, None])
+    ).any(axis=1)
+
+    # The corner ring c0 c1 c2 c3 c0 as blocks of n; edge k runs from
+    # corner k (rows a) to corner k + 1 (rows b).
+    ring = transforms.face_uv_to_xyz(
+        np.tile(face, 5),
+        np.concatenate([u0, u1, u1, u0, u0]),
+        np.concatenate([v0, v0, v1, v1, v0]),
     )
-    result = inside.any(axis=1)
-    if rect.is_point:
-        return result
+    ring = np.ascontiguousarray(ring.T)  # (3, 5n)
+    a, b = ring[:, : 4 * n], ring[:, n:]
+    rid4 = np.tile(rid, 4)
 
     # Cell corners inside the rect.
-    corners = np.stack(
-        [
-            transforms.face_uv_to_xyz(face, u0, v0),
-            transforms.face_uv_to_xyz(face, u1, v0),
-            transforms.face_uv_to_xyz(face, u1, v1),
-            transforms.face_uv_to_xyz(face, u0, v1),
-        ]
-    )  # (4, n, 3)
-    lat, lng = transforms.xyz_to_latlng(corners)
-    in_lat = (lat >= rect.lat_lo) & (lat <= rect.lat_hi)
-    if geom.full_lng:
-        in_lng = True
-    else:
-        in_lng = np.mod(lng - rect.lng_lo, 360.0) <= rect.lng_length
-    result |= (in_lat & in_lng).any(axis=0)
+    lat = np.degrees(np.arctan2(a[2], np.hypot(a[0], a[1])))
+    lng = np.degrees(np.arctan2(a[1], a[0]))
+    corner_in = (
+        (lat >= g.lat_lo[rid4])
+        & (lat <= g.lat_hi[rid4])
+        & (g.full_lng[rid4] | (np.mod(lng - g.lng_lo[rid4], 360.0) <= g.lng_len[rid4]))
+    ).reshape(4, n)
 
-    # Edge crossings; all four cell edges batched into one (4n, 3) call.
-    a = corners.reshape(4 * n, 3)
-    b = np.roll(corners, -1, axis=0).reshape(4 * n, 3)
+    # Edge crossings with the rect's meridian and latitude edges.
+    ab = _cross(a, b)
     crossed = np.zeros(4 * n, dtype=bool)
-    for c, dpt in geom.meridians:
-        crossed |= _simple_crossing_vec(a, b, c, dpt)
-    for sin_lat in geom.lat_edges:
-        crossed |= _intersects_lat_edge_vec(a, b, sin_lat, geom)
-    result |= crossed.reshape(4, n).any(axis=0)
-    return result
+    if g.n_meridians:
+        crossed |= _meridian_crossings(g, rid4, a, b, ab)
+    if g.n_lat_edges:
+        with np.errstate(invalid="ignore"):
+            crossed |= _lat_edge_crossings(g, rid4, a, b, ab)
+    crossed = crossed.reshape(4, n).any(axis=0)
+
+    point = g.point[rid]
+    full = g.full_sphere[rid]
+    intersects = full | witness | (~point & (corner_in.any(axis=0) | crossed))
+    interior = full | (~point & ~witness & ~crossed & corner_in.all(axis=0))
+    return intersects, interior
 
 
 def rect_intersects_cells(rect: GeoRect, face, i, j, level: int) -> np.ndarray:
     """Exact rect/cell intersection for cells given as (face, i, j) arrays."""
     check_level(level)
-    geom = _RectGeometry(rect)
     face = np.atleast_1d(np.asarray(face, dtype=np.int64))
     i = np.atleast_1d(np.asarray(i, dtype=np.int64))
     j = np.atleast_1d(np.asarray(j, dtype=np.int64))
-    return _rect_intersects_ij(geom, face, i, j, level)
+    rid = np.zeros(face.shape[0], dtype=np.int64)
+    return _rect_intersects_ij(_RectArrays([rect]), rid, face, i, j, level)[0]
 
 
 def rect_intersects_cell(rect: GeoRect, cell: CellId) -> bool:
@@ -315,47 +369,88 @@ def rect_intersects_cell(rect: GeoRect, cell: CellId) -> bool:
 _CHILD_DI = np.array([0, 0, 1, 1], dtype=np.int64)
 _CHILD_DJ = np.array([0, 1, 0, 1], dtype=np.int64)
 
+# Rects per breadth-first pass; the module docstring says why 16.
+_CHUNK = 16
+
+
+def _raw_ids(face, pos, level: int) -> np.ndarray:
+    return (
+        (face.astype(np.uint64) << np.uint64(61))
+        | (pos.astype(np.uint64) << np.uint64(61 - 2 * level))
+        | np.uint64(1 << (60 - 2 * level))
+    )
+
+
+def _cover_chunk(rects, level: int, cap: int) -> list:
+    g = _RectArrays(rects)
+    m = len(rects)
+    rid = np.repeat(np.arange(m, dtype=np.int64), 6)
+    face = np.tile(np.arange(6, dtype=np.int64), m)
+    i = np.zeros(6 * m, dtype=np.int64)
+    j = np.zeros(6 * m, dtype=np.int64)
+    emitted = np.zeros(m, dtype=np.int64)  # level-L cells of interior ranges, per rect
+    found_rid, found_raw = [], []
+    for cur in range(level + 1):
+        keep, interior = _rect_intersects_ij(g, rid, face, i, j, cur)
+        whole = keep & interior if cur < level else np.zeros_like(keep)
+        live = keep & ~whole
+        span = 4 ** (level - cur)
+        emitted += np.bincount(rid[whole], minlength=m) * span
+        # Every live cell has a covered descendant, so this never exceeds
+        # the final covering and reaches it at the last level.
+        size = emitted + np.bincount(rid[live], minlength=m)
+        if size.max() > cap:
+            raise CapacityError(
+                f"covering exceeds cap {cap} (at least {int(size.max())} cells at level {level})"
+            )
+        if whole.any():
+            fw = face[whole]
+            pos = hilbert.xy_to_position_vec(cur, i[whole], j[whole], fw & hilbert.SWAP_MASK)
+            pos = (pos[:, None] << (2 * (level - cur))) + np.arange(span, dtype=np.int64)
+            found_raw.append(_raw_ids(np.repeat(fw, span), pos.ravel(), level))
+            found_rid.append(np.repeat(rid[whole], span))
+        face, i, j, rid = face[live], i[live], j[live], rid[live]
+        if cur == level or face.shape[0] == 0:
+            break
+        face = np.repeat(face, 4)
+        rid = np.repeat(rid, 4)
+        i = np.repeat(i, 4) * 2 + np.tile(_CHILD_DI, face.shape[0] // 4)
+        j = np.repeat(j, 4) * 2 + np.tile(_CHILD_DJ, face.shape[0] // 4)
+
+    pos = hilbert.xy_to_position_vec(level, i, j, face & hilbert.SWAP_MASK)
+    raws = np.concatenate(found_raw + [_raw_ids(face, pos, level)])
+    owner = np.concatenate(found_rid + [rid])
+    order = np.lexsort((raws, owner))
+    return np.split(raws[order], np.cumsum(np.bincount(owner, minlength=m))[:-1])
+
+
+def cover_rects_raw(rects, level: int, cap: int = DEFAULT_COVER_CAP) -> list:
+    """cover_rect_raw of every rect, in one breadth-first pass per chunk of
+    rects; raises CapacityError when any rect's covering exceeds the cap."""
+    check_level(level)
+    if level > COVER_MAX_LEVEL:
+        raise ConfigError(f"covering level {level} above cap {COVER_MAX_LEVEL}")
+    if cap <= 0:
+        raise ConfigError(f"covering cap {cap} must be positive")
+    rects = list(rects)
+    out = []
+    for lo in range(0, len(rects), _CHUNK):
+        out.extend(_cover_chunk(rects[lo : lo + _CHUNK], level, cap))
+    return out
+
 
 def cover_rect_raw(
     rect: GeoRect, level: int, cap: int = DEFAULT_COVER_CAP
 ) -> np.ndarray:
     """All level-L cells intersecting the rect, as a sorted uint64 array.
 
-    Breadth-first refinement from the six face cells; every intersecting
-    cell at an intermediate level has at least one intersecting descendant,
-    so live candidate counts never exceed the final covering size and the
-    cap can be enforced at every level.
+    Breadth-first refinement from the six face cells. Cells wholly inside
+    the rect are not refined: their level-L descendants are emitted as one
+    range of Hilbert positions. The cap is enforced at every level on the
+    cells emitted so far plus the live boundary cells, which never exceeds
+    the final covering size.
     """
-    check_level(level)
-    if level > COVER_MAX_LEVEL:
-        raise ConfigError(f"covering level {level} above cap {COVER_MAX_LEVEL}")
-    if cap <= 0:
-        raise ConfigError(f"covering cap {cap} must be positive")
-    geom = _RectGeometry(rect)
-
-    face = np.arange(6, dtype=np.int64)
-    i = np.zeros(6, dtype=np.int64)
-    j = np.zeros(6, dtype=np.int64)
-    for cur in range(level + 1):
-        keep = _rect_intersects_ij(geom, face, i, j, cur)
-        face, i, j = face[keep], i[keep], j[keep]
-        if face.shape[0] > cap:
-            raise CapacityError(
-                f"covering exceeds cap {cap} ({face.shape[0]} cells at level {cur})"
-            )
-        if cur == level or face.shape[0] == 0:
-            break
-        face = np.repeat(face, 4)
-        i = np.repeat(i, 4) * 2 + np.tile(_CHILD_DI, face.shape[0] // 4)
-        j = np.repeat(j, 4) * 2 + np.tile(_CHILD_DJ, face.shape[0] // 4)
-
-    pos = hilbert.xy_to_position_vec(level, i, j, face & hilbert.SWAP_MASK)
-    raws = (
-        (face.astype(np.uint64) << np.uint64(61))
-        | (pos.astype(np.uint64) << np.uint64(61 - 2 * level))
-        | np.uint64(1 << (60 - 2 * level))
-    )
-    return np.sort(raws)
+    return cover_rects_raw([rect], level, cap)[0]
 
 
 def cover_rect(rect: GeoRect, level: int, cap: int = DEFAULT_COVER_CAP) -> set:

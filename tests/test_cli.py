@@ -369,3 +369,4 @@ def test_damaged_artifact_is_a_data_error(pipeline_dir, tmp_path, name, garble):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("data error: ")
+    assert os.path.basename(name) in proc.stderr

@@ -23,6 +23,7 @@ from cellsearch.s2geom import (
     cells_from_latlng_vec,
     cover_rect,
     cover_rect_raw,
+    cover_rects_raw,
     num_cells_at_level,
 )
 from cellsearch.s2geom import hilbert, transforms
@@ -187,6 +188,80 @@ def test_cover_capacity_error():
     rect = GeoRect(-60, 60, -120, 120)
     with pytest.raises(CapacityError):
         cover_rect_raw(rect, 11, cap=500)
+
+
+def test_batched_cover_equals_per_rect_cover():
+    for level in (0, 1, 2, 3, 4, 5):
+        got = cover_rects_raw(RECT_BATTERY, level, cap=10**6)
+        assert len(got) == len(RECT_BATTERY)
+        for rect, cells in zip(RECT_BATTERY, got):
+            want = cover_rect_raw(rect, level, cap=10**6)
+            assert cells.dtype == want.dtype
+            np.testing.assert_array_equal(cells, want, err_msg=f"{rect} level {level}")
+
+
+def _plain_refinement(rect, level):
+    """Breadth-first refinement that tests every cell with the predicate
+    and never shortcuts a cell lying inside the rect."""
+    face = np.arange(6, dtype=np.int64)
+    i = np.zeros(6, dtype=np.int64)
+    j = np.zeros(6, dtype=np.int64)
+    for cur in range(level + 1):
+        keep = rect_intersects_cells(rect, face, i, j, cur)
+        face, i, j = face[keep], i[keep], j[keep]
+        if cur < level:
+            face = np.repeat(face, 4)
+            i = np.repeat(i, 4) * 2 + np.tile([0, 0, 1, 1], face.size // 4)
+            j = np.repeat(j, 4) * 2 + np.tile([0, 1, 0, 1], face.size // 4)
+    pos = hilbert.xy_to_position_vec(level, i, j, face & hilbert.SWAP_MASK)
+    raws = (
+        (face.astype(np.uint64) << np.uint64(61))
+        | (pos.astype(np.uint64) << np.uint64(61 - 2 * level))
+        | np.uint64(1 << (60 - 2 * level))
+    )
+    return np.sort(raws)
+
+
+def test_interior_ranges_match_plain_refinement_at_retrieval_level():
+    # Rects of the size the bounds regressor predicts (about a thousand
+    # level-11 cells), some wrapping the antimeridian and some polar.
+    rng = np.random.default_rng(43)
+    rects = []
+    for k in range(30):
+        lat = rng.uniform(-80, 80)
+        lng = rng.uniform(-180, 180)
+        if k % 5 == 1:
+            lng = 180.0 - rng.uniform(0.0, 0.5)
+        if k % 5 == 2:
+            lat = rng.choice([-1.0, 1.0]) * rng.uniform(86.0, 89.9)
+        rects.append(GeoRect.from_center(lat, lng, rng.uniform(0.4, 1.2), rng.uniform(0.4, 1.2)))
+    assert any(r.lng_lo > r.lng_hi for r in rects)
+    assert any(r.lat_hi == 90.0 or r.lat_lo == -90.0 for r in rects)
+    got = cover_rects_raw(rects, 11)
+    for rect, cells in zip(rects, got):
+        np.testing.assert_array_equal(cells, _plain_refinement(rect, 11), err_msg=str(rect))
+
+
+def test_cap_counts_interior_ranges():
+    # At level 8 this rect covers 3,759 cells, nearly all of them
+    # below interior cells of coarser levels.
+    rect = GeoRect(10, 25, 30, 55)
+    size = cover_rect_raw(rect, 8, cap=10**6).size
+    assert cover_rect_raw(rect, 8, cap=size).size == size
+    with pytest.raises(CapacityError):
+        cover_rect_raw(rect, 8, cap=size - 1)
+
+
+def test_cap_applies_to_each_rect_of_a_batch():
+    small = [GeoRect.from_center(5.0 * k - 40.0, 3.0 * k, 0.5, 0.5) for k in range(24)]
+    sizes = [cells.size for cells in cover_rects_raw(small, 11)]
+    big = GeoRect.from_center(20.0, 20.0, 3.0, 3.0)
+    cap = max(sizes)
+    assert cover_rect_raw(big, 11, cap=10**6).size > cap
+    assert [c.size for c in cover_rects_raw(small, 11, cap=cap)] == sizes
+    # The oversized rect sits in the second chunk of the pass.
+    with pytest.raises(CapacityError):
+        cover_rects_raw(small[:20] + [big] + small[20:], 11, cap=cap)
 
 
 def test_cover_level_cap():

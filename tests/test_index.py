@@ -83,6 +83,10 @@ def test_retrieve_cells_matches_brute_force(world, index):
         want = brute_force_cells(world, set(query.tolist()), guests)
         got = index.retrieve_cells(query, num_guests=guests)
         np.testing.assert_array_equal(got, want)
+        rows = index.posting_rows(np.unique(query))
+        np.testing.assert_array_equal(
+            np.sort(index.listing_ids[rows]), brute_force_cells(world, set(query.tolist()), 1)
+        )
         want_all = brute_force_cells(
             world, set(query.tolist()), guests, active_only=False
         )
@@ -226,6 +230,7 @@ def test_all_inactive_store_uses_scan_fallback():
     assert idx.n_active == 0
     cell = int(cell_from_latlng(10.0, 20.0, 11))
     assert idx.retrieve_cells([cell]).size == 0
+    assert idx.posting_rows([cell]).size == 0
     got = idx.retrieve_cells([cell], active_only=False)
     want = [
         l.listing_id
