@@ -36,22 +36,22 @@ for d in top:
           f"({dest.lat:.2f}, {dest.lng:.2f}) p={world.popularity[d]:.3f}")
 
 # 3. Listings cluster around their destination with capacities 1..10 and
-# a small inactive fraction.
-caps = np.array([l.capacity for l in world.listings])
-active = np.array([l.active for l in world.listings])
-print(f"\ncapacity range {caps.min()}..{caps.max()}, "
-      f"active {active.mean():.0%}")
+# a small inactive fraction. The store keeps them as columns, rows sorted
+# by listing id, each with its level 11 cell computed once.
+store = world.listings
+print(f"\ncapacity range {store.capacities.min()}..{store.capacities.max()}, "
+      f"active {store.active.mean():.0%}, "
+      f"{np.unique(store.cells).size} distinct level 11 cells")
 
 # 4. Search events point at a booked listing (and its level 11 cell).
 # Most book near the destination center, a small outlier share books far
 # away, and a pan-discovery share books in a different destination than
 # the one searched.
-dists = []
-for ev in train[:2000]:
-    dest = world.destinations[ev.dest_id]
-    booked = world.listings[ev.booked_listing_id - 1]  # listing ids are 1-based
-    dists.append(km_distance(booked.lat, booked.lng, dest.lat, dest.lng))
-dists = np.array(dists)
+events = train[:2000]
+rows = np.searchsorted(store.ids, [ev.booked_listing_id for ev in events])
+dests = [world.destinations[ev.dest_id] for ev in events]
+dists = km_distance(store.lats[rows], store.lngs[rows],
+                    [d.lat for d in dests], [d.lng for d in dests])
 print(f"\nbooked-to-center distance: median {np.median(dists):.1f} km, "
       f"p99 {np.percentile(dists, 99):.0f} km")
 print("outlier flags in train:",

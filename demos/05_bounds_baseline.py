@@ -53,20 +53,21 @@ for rect in rects:
     print(f"rect lat [{rect.lat_lo:.3f}, {rect.lat_hi:.3f}] "
           f"lng [{rect.lng_lo:.3f}, {rect.lng_hi:.3f}]")
 
-# 4. The index stores active listings under their level 11 cell in CSR
-# postings sorted by listing id.
-index = ListingIndex.build(world.listings)
-print(f"\nindex: {index.listing_ids.size} listings, "
-      f"{np.unique(index.cells).size} distinct cells")
+# 4. The index posts the store's active listings under their level 11
+# cell (computed once, with the store) in CSR postings sorted by listing id.
+store = world.listings
+index = ListingIndex.build(store)
+print(f"\nindex: {len(store)} listings, {index.n_active} active "
+      f"in {index.posting_cells.size} cells")
 
 # 5. Serve the rectangles and confirm the index agrees with a brute
 # force scan: covering plus exact post-filter changes nothing.
 print()
 for rect in rects:
     hits = index.retrieve_rect(rect, num_guests=1)
-    mask = (rect.contains(index.lats, index.lngs)
-            & index.active & (index.capacities >= 1))
-    brute = np.sort(index.listing_ids[mask])
+    mask = (rect.contains(store.lats, store.lngs)
+            & store.active & (store.capacities >= 1))
+    brute = store.ids[mask]
     print(f"rect retrieval: {hits.size:4d} listings, matches brute force:",
           bool(np.array_equal(hits, brute)))
 

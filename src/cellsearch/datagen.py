@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -45,7 +45,6 @@ DEST_TYPE_DIAG_KM = {
     "neighborhood": 15.0,
     "city": 40.0,
 }
-DEVICE_TYPES = ("android_app", "desktop_web", "ios_app", "mobile_web")
 MAX_GUESTS = 8
 MAX_CAPACITY = 10
 MAX_NIGHTS = 21
@@ -110,13 +109,51 @@ class Destination:
     clusters: tuple[Cluster, ...]
 
 
-@dataclass(frozen=True)
-class Listing:
-    listing_id: int
-    lat: float
-    lng: float
-    capacity: int
-    active: bool
+@dataclass(frozen=True, eq=False)
+class ListingStore:
+    """The listing inventory as columns, one row per listing, rows sorted
+    by listing id (ids are unique), so id -> row is a binary search.
+    `cells` holds each listing's retrieval-level cell."""
+
+    ids: np.ndarray  # int64
+    lats: np.ndarray  # float64
+    lngs: np.ndarray  # float64
+    capacities: np.ndarray  # int64
+    active: np.ndarray  # bool
+    cells: np.ndarray  # uint64
+
+    @classmethod
+    def from_columns(cls, ids, lats, lngs, capacities, active) -> "ListingStore":
+        """Sort the rows by id and compute every listing's cell, once."""
+        ids = np.asarray(ids, dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        repeats = ids[1:][ids[1:] == ids[:-1]]
+        if repeats.size:
+            raise DataError(f"listing id {repeats[0]} repeats")
+        lats = np.asarray(lats, dtype=np.float64)[order]
+        lngs = np.asarray(lngs, dtype=np.float64)[order]
+        return cls(
+            ids,
+            lats,
+            lngs,
+            np.asarray(capacities, dtype=np.int64)[order],
+            np.asarray(active, dtype=bool)[order],
+            cells_from_latlng_vec(lats, lngs, RETRIEVAL_LEVEL),
+        )
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ListingStore) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+    def take(self, rows) -> "ListingStore":
+        """The store restricted to rows (a mask or increasing positions)."""
+        return ListingStore(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -147,16 +184,9 @@ class GapInfo:
 class World:
     config: GenConfig
     destinations: list[Destination]
-    listings: list[Listing]
+    listings: ListingStore
     popularity: np.ndarray  # per destination, sums to 1
     gap: GapInfo
-    listing_cells: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint64))
-
-    def __post_init__(self):
-        if self.listing_cells.size != len(self.listings):
-            lat = np.array([l.lat for l in self.listings])
-            lng = np.array([l.lng for l in self.listings])
-            self.listing_cells = cells_from_latlng_vec(lat, lng, RETRIEVAL_LEVEL)
 
 
 def _km_offset(lat: float, lng: float, north_km: float, east_km: float):
@@ -303,16 +333,9 @@ def generate_world(cfg: GenConfig) -> World:
     shares = rng.dirichlet(np.full(cfg.n_destinations, 8.0))
     counts = _split_exact(n_regular, shares, 160)
 
-    listings: list[Listing] = []
-    next_id = 1
-
-    def _emit(lat, lng, capacity, active):
-        nonlocal next_id
-        listings.append(
-            Listing(next_id, float(lat), float(lng), int(capacity), bool(active))
-        )
-        next_id += 1
-
+    # (lats, lngs, capacities, active) per emitted group; listing ids
+    # number the rows from 1 in emission order.
+    columns = []
     for dest, total in zip(destinations, counts):
         n_background = max(4, int(total * 0.15))
         weights = [c.weight for c in dest.clusters]
@@ -325,32 +348,31 @@ def generate_world(cfg: GenConfig) -> World:
             lats = rng.normal(cluster.lat, lat_sd * 1.2, n_c)
             lngs = rng.normal(cluster.lng, lng_sd * 1.2, n_c)
             caps = _sample_capacity(rng, n_c)
-            act = rng.random(n_c) < 0.97
-            for k in range(n_c):
-                _emit(lats[k], lngs[k], caps[k], act[k])
+            columns.append((lats, lngs, caps, rng.random(n_c) < 0.97))
         half = max(dest.bounds_diagonal_km, 25.0)
         lat_h = half / KM_PER_DEG
         lng_h = half / (KM_PER_DEG * math.cos(math.radians(dest.lat)))
         lats = rng.uniform(dest.lat - lat_h, dest.lat + lat_h, n_background)
         lngs = rng.uniform(dest.lng - lng_h, dest.lng + lng_h, n_background)
         caps = _sample_capacity(rng, n_background)
-        act = rng.random(n_background) < 0.97
-        for k in range(n_background):
-            _emit(lats[k], lngs[k], caps[k], act[k])
+        columns.append((lats, lngs, caps, rng.random(n_background) < 0.97))
 
     # Listings inside the engineered dead band: present, never booked.
-    gap_ids = []
     if gap_dest_id is not None:
         rect = _gap_rect(destinations[gap_dest_id])
         lats = rng.uniform(rect.lat_lo, rect.lat_hi, gap_listing_count)
         lngs = rng.uniform(rect.lng_lo, rect.lng_hi, gap_listing_count)
         caps = _sample_capacity(rng, gap_listing_count)
-        for k in range(gap_listing_count):
-            gap_ids.append(next_id)
-            _emit(lats[k], lngs[k], caps[k], True)
-        gap = GapInfo(gap_dest_id, rect, tuple(gap_ids))
+        columns.append((lats, lngs, caps, np.ones(gap_listing_count, dtype=bool)))
+        # The band's listings are emitted last, after the n_regular others.
+        gap_ids = tuple(range(n_regular + 1, cfg.n_listings + 1))
+        gap = GapInfo(gap_dest_id, rect, gap_ids)
     else:
         gap = GapInfo(-1, GeoRect(0, 0, 0, 0), ())
+    lats, lngs, caps, active = (np.concatenate(col) for col in zip(*columns))
+    listings = ListingStore.from_columns(
+        np.arange(1, lats.size + 1), lats, lngs, caps, active
+    )
 
     popularity = rng.dirichlet(np.full(cfg.n_destinations, 2.0))
     if gap_dest_id is not None:
@@ -390,25 +412,17 @@ class _BookingSampler:
 
     def __init__(self, world: World):
         self.world = world
-        lats = np.array([l.lat for l in world.listings])
-        lngs = np.array([l.lng for l in world.listings])
-        caps = np.array([l.capacity for l in world.listings])
-        active = np.array([l.active for l in world.listings])
-        ids = np.arange(len(world.listings))
-        gap_mask = np.zeros(len(world.listings), dtype=bool)
-        for lid in world.gap.listing_ids:
-            gap_mask[lid - 1] = True
+        store = world.listings
+        lats, lngs, caps = store.lats, store.lngs, store.capacities
+        rows = np.arange(len(store))
+        bookable = store.active & ~np.isin(store.ids, world.gap.listing_ids)
 
         self.cluster_candidates: dict[tuple[int, int], dict] = {}
         for dest in world.destinations:
             for ci, cl in enumerate(dest.clusters):
                 d = km_distance(cl.lat, cl.lng, lats, lngs)
-                sel = (
-                    (d <= BOOKING_CUTOFF_SPREADS * cl.spread_km)
-                    & active
-                    & ~gap_mask
-                )
-                idx = ids[sel]
+                sel = (d <= BOOKING_CUTOFF_SPREADS * cl.spread_km) & bookable
+                idx = rows[sel]
                 if idx.size == 0:
                     raise DataError(
                         f"no bookable listings near cluster {ci} of "
@@ -424,8 +438,8 @@ class _BookingSampler:
 
         # Outlier pool: every active listing outside the gap band, split by
         # minimum capacity.
-        pool = ids[active & ~gap_mask]
-        pool_caps = caps[active & ~gap_mask]
+        pool = rows[bookable]
+        pool_caps = caps[bookable]
         self.outlier_by_guests = [
             pool[pool_caps >= g] for g in range(MAX_CAPACITY + 1)
         ]
@@ -470,7 +484,7 @@ def generate_search_log(
             if pool.size == 0:
                 guests = 1
                 pool = sampler.outlier_by_guests[1]
-            lid = int(pool[int(rng.integers(pool.size))])
+            row = int(pool[int(rng.integers(pool.size))])
         else:
             n_cl = len(dest.clusters)
             if n_cl > 1 and rng.random() < cfg.pan_discovery_rate:
@@ -486,7 +500,7 @@ def generate_search_log(
                     cl.spread_km / (KM_PER_DEG * math.cos(math.radians(cl.lat))),
                 )
             )
-            lid, guests = sampler.nearest_bookable(
+            row, guests = sampler.nearest_bookable(
                 dest.dest_id, ci, lat, lng, guests
             )
 
@@ -500,8 +514,8 @@ def generate_search_log(
                 device_type=device,
                 trip_length_nights=nights,
                 is_weekend=is_weekend,
-                booked_listing_id=world.listings[lid].listing_id,
-                booked_cell=int(world.listing_cells[lid]),
+                booked_listing_id=int(world.listings.ids[row]),
+                booked_cell=int(world.listings.cells[row]),
                 is_outlier=is_outlier,
             )
         )
@@ -572,22 +586,43 @@ def _read_tsv(path, fields, parse_row) -> list:
     return out
 
 
-def write_listings(path, listings):
+def write_listings(path, listings: ListingStore):
+    rows = zip(
+        listings.ids.tolist(),
+        listings.lats.tolist(),
+        listings.lngs.tolist(),
+        listings.capacities.tolist(),
+        listings.active.tolist(),
+    )
     with open(path, "w") as f:
         f.write("\t".join(LISTING_FIELDS) + "\n")
-        for l in listings:
-            f.write(
-                f"{l.listing_id}\t{repr(l.lat)}\t{repr(l.lng)}\t"
-                f"{l.capacity}\t{_fmt_bool(l.active)}\n"
-            )
+        for lid, lat, lng, capacity, active in rows:
+            f.write(f"{lid}\t{repr(lat)}\t{repr(lng)}\t{capacity}\t{_fmt_bool(active)}\n")
 
 
-def _parse_listing(p) -> Listing:
-    return Listing(int(p[0]), float(p[1]), float(p[2]), int(p[3]), p[4] == "1")
+def read_listings(path) -> ListingStore:
+    """The listing store of a listings file. A point off the sphere, a
+    capacity below 1, a number beyond 64 bits or a repeated listing id is
+    a DataError naming the file and line."""
+    seen = set()
 
+    def parse(p):
+        lid, lat, lng, capacity = int(p[0]), float(p[1]), float(p[2]), int(p[3])
+        # NaN fails every comparison, so it is rejected here as well.
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lng <= 180.0):
+            raise DataError(f"lat {p[1]} lng {p[2]} is not a point on the sphere")
+        if capacity < 1:
+            raise DataError(f"capacity {capacity} is below 1")
+        if max(abs(lid), capacity) >= 2**63:
+            raise DataError("listing id or capacity does not fit in 64 bits")
+        if lid in seen:
+            raise DataError(f"listing id {lid} repeats")
+        seen.add(lid)
+        return lid, lat, lng, capacity, p[4] == "1"
 
-def read_listings(path) -> list[Listing]:
-    return _read_tsv(path, LISTING_FIELDS, _parse_listing)
+    rows = _read_tsv(path, LISTING_FIELDS, parse)
+    columns = zip(*rows) if rows else [()] * len(LISTING_FIELDS)
+    return ListingStore.from_columns(*columns)
 
 
 def _fmt_clusters(clusters) -> str:
@@ -734,6 +769,9 @@ def load_dataset(data_dir):
         raise DataError(f"manifest {path} has a missing or bad field: {exc!r}") from None
     destinations = read_destinations(os.path.join(data_dir, "destinations.tsv"))
     listings = read_listings(os.path.join(data_dir, "listings.tsv"))
+    absent = np.setdiff1d(np.asarray(gap.listing_ids, dtype=np.int64), listings.ids)
+    if absent.size:
+        raise DataError(f"manifest {path} names band listing {absent[0]}, absent from listings.tsv")
     world = World(cfg, destinations, listings, popularity, gap)
     train = read_events(os.path.join(data_dir, "train_events.tsv"))
     eval_ = read_events(os.path.join(data_dir, "eval_events.tsv"))

@@ -316,11 +316,12 @@ def _rect_counts(index: ListingIndex, rects, coverings, num_guests) -> np.ndarra
     under the rect's covering (postings hold active listings only) that
     lie in the rect and seat the party."""
 
+    store = index.listings
     counts = np.empty(len(rects))
     for r, (rect, covering, g) in enumerate(zip(rects, coverings, num_guests)):
         rows = index.posting_rows(covering)
-        inside = rect.contains(index.lats[rows], index.lngs[rows])
-        counts[r] = np.count_nonzero(inside & (index.capacities[rows] >= g))
+        inside = rect.contains(store.lats[rows], store.lngs[rows])
+        counts[r] = np.count_nonzero(inside & (store.capacities[rows] >= g))
     return counts
 
 
@@ -457,8 +458,8 @@ def gap_statistics(
         return empty
     gb = batch.take(rows)
     n = len(gb)
-    by_id = {l.listing_id: l for l in world.listings}
-    gap_index = ListingIndex.build([by_id[i] for i in gap.listing_ids])
+    band = np.isin(world.listings.ids, gap.listing_ids)
+    gap_index = ListingIndex.build(world.listings.take(band))
 
     sweep = sweep_shard(
         models[shard], gb, gap_index, lambdas=[matched_lambdas[shard]], chunk_size=chunk_size

@@ -80,9 +80,6 @@ class CellId(int):
             raise InvalidCellError(f"bad cell token {token!r}") from None
         return cls.from_raw(raw)
 
-    def is_valid(self) -> bool:
-        return is_valid_raw(self)
-
     def face(self) -> int:
         return int(self) >> FACE_SHIFT
 

@@ -1,16 +1,9 @@
 """Shared fixtures: one small generated dataset reused across test modules."""
 
 import pytest
+from smallworld import SMALL
 
-from cellsearch.datagen import GenConfig, generate_dataset
-
-SMALL = GenConfig(
-    seed=11,
-    n_destinations=8,
-    n_listings=2400,
-    n_train_events=4000,
-    n_eval_events=600,
-)
+from cellsearch.datagen import generate_dataset
 
 
 @pytest.fixture(scope="session")

@@ -169,9 +169,10 @@ def test_criterion_4_retrieval_equivalence():
     rng = np.random.default_rng(99)
     world = generate_world(GenConfig())
     index = ListingIndex.build(world.listings)
-    assert index.listing_ids.size == 30_000
+    store = world.listings
+    assert store.ids.size == 30_000
 
-    occupied = np.unique(index.cells)
+    occupied = np.unique(store.cells)
     mismatches = 0
     for _ in range(1_000):
         n_occ = int(rng.integers(1, 40))
@@ -182,11 +183,11 @@ def test_criterion_4_retrieval_equivalence():
         guests = int(rng.integers(1, 11))
         got = index.retrieve_cells(query, num_guests=guests)
         mask = (
-            np.isin(index.cells, query)
-            & index.active
-            & (index.capacities >= guests)
+            np.isin(store.cells, query)
+            & store.active
+            & (store.capacities >= guests)
         )
-        want = np.sort(index.listing_ids[mask])
+        want = np.sort(store.ids[mask])
         mismatches += int(not np.array_equal(got, want))
 
     for q in range(200):
@@ -194,8 +195,8 @@ def test_criterion_4_retrieval_equivalence():
             clat = rng.uniform(-60.0, 60.0)
             clng = rng.uniform(170.0, 180.0)  # wraps for wide rects
         else:
-            k = int(rng.integers(0, index.lats.size))
-            clat, clng = float(index.lats[k]), float(index.lngs[k])
+            k = int(rng.integers(0, store.lats.size))
+            clat, clng = float(store.lats[k]), float(store.lngs[k])
         hlat = float(rng.uniform(0.02, 1.5))
         hlng = float(rng.uniform(0.02, 2.5))
         lo = ((clng - hlng + 180.0) % 360.0) - 180.0
@@ -206,11 +207,11 @@ def test_criterion_4_retrieval_equivalence():
         guests = int(rng.integers(1, 11))
         got = index.retrieve_rect(rect, num_guests=guests)
         mask = (
-            rect.contains(index.lats, index.lngs)
-            & index.active
-            & (index.capacities >= guests)
+            rect.contains(store.lats, store.lngs)
+            & store.active
+            & (store.capacities >= guests)
         )
-        want = np.sort(index.listing_ids[mask])
+        want = np.sort(store.ids[mask])
         mismatches += int(not np.array_equal(got, want))
 
     elapsed = time.monotonic() - t0

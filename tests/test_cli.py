@@ -266,7 +266,7 @@ def _run_cli(command, cfg_path):
     )
 
 
-def _set_event_field(path, row, field, value):
+def _set_tsv_field(path, row, field, value):
     lines = path.read_text().splitlines(keepends=True)
     fields = lines[row].split("\t")
     fields[field] = value
@@ -278,7 +278,7 @@ def test_malformed_event_field_is_a_data_error(fresh_data, capsys):
     cfg_path, workdir = fresh_data
     path = workdir / "data" / "eval_events.tsv"
     dest_id = path.read_text().splitlines()[3].split("\t")[1]
-    _set_event_field(path, 3, 1, "x" + dest_id)
+    _set_tsv_field(path, 3, 1, "x" + dest_id)
     proc = _run_cli("compare", cfg_path)
     assert proc.returncode == 3
     assert "eval_events.tsv:4" in proc.stderr
@@ -289,11 +289,21 @@ def test_unknown_training_destination_is_a_data_error(fresh_data, capsys):
     cfg_path, workdir = fresh_data
     path = workdir / "data" / "train_events.tsv"
     search_id = path.read_text().splitlines()[5].split("\t")[0]
-    _set_event_field(path, 5, 1, "9999")
+    _set_tsv_field(path, 5, 1, "9999")
     proc = _run_cli("train", cfg_path)
     assert proc.returncode == 3
     assert f"event {search_id} references unknown destination 9999" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert _trained_artifacts(workdir) == []
+
+
+def test_nan_listing_latitude_fails_train_before_any_artifact(fresh_data):
+    cfg_path, workdir = fresh_data
+    _set_tsv_field(workdir / "data" / "listings.tsv", 5, 1, "nan")
+    proc = _run_cli("train", cfg_path)
+    assert proc.returncode == 3
+    assert "listings.tsv:6" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert _trained_artifacts(workdir) == []
 
 
@@ -326,6 +336,15 @@ def _truncate_to_half(path):
     path.write_bytes(raw[: len(raw) // 2])
 
 
+def _set_listing_field(field, value):
+    """Set one field of listing id 5 (line 6) of listings.tsv."""
+
+    def garble(path):
+        _set_tsv_field(path, 5, field, value)
+
+    return garble
+
+
 def _drop_json_key(key):
     def garble(path):
         doc = json.loads(path.read_text())
@@ -346,6 +365,8 @@ def _drop_json_key(key):
         ("model_EU.ckpt", _truncate_to_half),
         ("postings.idx", _replace_middle_line),
         ("postings.idx", _overwrite_with_binary),
+        ("data/listings.tsv", _set_listing_field(1, "nan")),
+        ("data/listings.tsv", _set_listing_field(0, "4")),
     ],
     ids=[
         "vocab-garbled",
@@ -356,6 +377,8 @@ def _drop_json_key(key):
         "checkpoint-truncated",
         "postings-garbled",
         "postings-binary",
+        "listings-nan-lat",
+        "listings-duplicate-id",
     ],
 )
 def test_damaged_artifact_is_a_data_error(pipeline_dir, tmp_path, name, garble):

@@ -1,6 +1,7 @@
 """Generator tests: determinism, invariants of the engineered world, and
 record-file round trips."""
 
+import json
 import os
 
 import numpy as np
@@ -18,11 +19,19 @@ from cellsearch.datagen import (
     read_events,
     read_listings,
     write_dataset,
+    write_listings,
 )
-from cellsearch.errors import ConfigError
+from cellsearch.errors import ConfigError, DataError
 from cellsearch.s2geom import cell_from_latlng
 
-from conftest import SMALL
+from smallworld import SMALL
+
+
+def listing_rows(world, ids):
+    """Store rows of the given listing ids, each of which must exist."""
+    rows = np.searchsorted(world.listings.ids, ids)
+    np.testing.assert_array_equal(world.listings.ids[rows], ids)
+    return rows
 
 
 def test_counts_exact(small_dataset):
@@ -31,8 +40,7 @@ def test_counts_exact(small_dataset):
     assert len(world.destinations) == SMALL.n_destinations
     assert len(train) == SMALL.n_train_events
     assert len(ev) == SMALL.n_eval_events
-    ids = [l.listing_id for l in world.listings]
-    assert ids == list(range(1, SMALL.n_listings + 1))
+    assert world.listings.ids.tolist() == list(range(1, SMALL.n_listings + 1))
 
 
 def test_event_ids_disjoint_and_ordered(small_dataset):
@@ -45,19 +53,18 @@ def test_event_ids_disjoint_and_ordered(small_dataset):
 
 def test_booked_cell_matches_listing(small_dataset):
     world, train, ev = small_dataset
-    by_id = {l.listing_id: l for l in world.listings}
+    store = world.listings
     for e in (train + ev)[::37]:
-        l = by_id[e.booked_listing_id]
-        assert e.booked_cell == int(cell_from_latlng(l.lat, l.lng, 11))
+        r = listing_rows(world, e.booked_listing_id)
+        assert e.booked_cell == int(cell_from_latlng(store.lats[r], store.lngs[r], 11))
 
 
 def test_bookings_pass_retrieval_filters(small_dataset):
     world, train, ev = small_dataset
-    by_id = {l.listing_id: l for l in world.listings}
-    for e in train + ev:
-        l = by_id[e.booked_listing_id]
-        assert l.active
-        assert l.capacity >= e.num_guests
+    rows = listing_rows(world, [e.booked_listing_id for e in train + ev])
+    assert world.listings.active[rows].all()
+    guests = np.array([e.num_guests for e in train + ev])
+    assert (world.listings.capacities[rows] >= guests).all()
 
 
 def test_gap_band_has_listings_but_no_bookings(small_dataset):
@@ -66,22 +73,20 @@ def test_gap_band_has_listings_but_no_bookings(small_dataset):
     gap_ids = set(world.gap.listing_ids)
     assert all(e.booked_listing_id not in gap_ids for e in train + ev)
     # Gap listings really sit inside the band rect.
-    by_id = {l.listing_id: l for l in world.listings}
-    for lid in world.gap.listing_ids:
-        l = by_id[lid]
-        assert world.gap.rect.contains(l.lat, l.lng)
+    rows = listing_rows(world, world.gap.listing_ids)
+    assert world.gap.rect.contains(world.listings.lats[rows], world.listings.lngs[rows]).all()
 
 
 def test_non_outlier_bookings_near_cluster(small_dataset):
     world, train, _ = small_dataset
-    by_id = {l.listing_id: l for l in world.listings}
+    store = world.listings
     for e in train[:2000]:
         if e.is_outlier:
             continue
         dest = world.destinations[e.dest_id]
-        l = by_id[e.booked_listing_id]
+        r = listing_rows(world, e.booked_listing_id)
         d = min(
-            float(km_distance(c.lat, c.lng, l.lat, l.lng))
+            float(km_distance(c.lat, c.lng, store.lats[r], store.lngs[r]))
             for c in dest.clusters
         )
         limit = max(BOOKING_CUTOFF_SPREADS * c.spread_km for c in dest.clusters)
@@ -137,14 +142,14 @@ def test_multi_cluster_mixture_share():
     events = generate_search_log(world, 60_000, 0, rng)
     dest = world.destinations[world.gap.dest_id]
     b = dest.clusters[1]
-    by_id = {l.listing_id: l for l in world.listings}
+    store = world.listings
     n = n_b = 0
     for e in events:
         if e.dest_id != dest.dest_id or e.is_outlier:
             continue
         n += 1
-        l = by_id[e.booked_listing_id]
-        if float(km_distance(b.lat, b.lng, l.lat, l.lng)) < 15.0:
+        r = listing_rows(world, e.booked_listing_id)
+        if float(km_distance(b.lat, b.lng, store.lats[r], store.lngs[r])) < 15.0:
             n_b += 1
     expect = cfg.pan_discovery_rate * b.weight
     assert n > 500
@@ -174,7 +179,53 @@ def test_round_trip_files(tmp_path, small_dataset):
     assert w2.destinations == world.destinations
     assert w2.gap == world.gap
     assert t2 == train and e2 == ev
-    np.testing.assert_array_equal(w2.listing_cells, world.listing_cells)
+
+
+def test_band_listing_absent_from_listings_is_a_data_error(tmp_path, small_dataset):
+    world, train, ev = small_dataset
+    write_dataset(str(tmp_path), SMALL, world, train, ev)
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["gap_listing_ids"].append(SMALL.n_listings + 1)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"band listing {SMALL.n_listings + 1}"):
+        load_dataset(str(tmp_path))
+
+
+def test_listing_rows_are_sorted_by_id_on_read(tmp_path, small_dataset):
+    world = small_dataset[0]
+    path = tmp_path / "listings.tsv"
+    write_listings(path, world.listings)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(rows[::-1]))
+    assert read_listings(path) == world.listings
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (1, "nan", "not a point on the sphere"),
+        (1, "95.0", "not a point on the sphere"),
+        (2, "-inf", "not a point on the sphere"),
+        (2, "180.5", "not a point on the sphere"),
+        (3, "0", "capacity 0 is below 1"),
+        (0, "4", "listing id 4 repeats"),
+        (0, str(2**64), "does not fit in 64 bits"),
+    ],
+    ids=["lat-nan", "lat-95", "lng-inf", "lng-180.5", "capacity-0", "repeated-id", "id-65-bits"],
+)
+def test_bad_listing_row_names_its_line(tmp_path, small_dataset, field, value, message):
+    world = small_dataset[0]
+    path = tmp_path / "listings.tsv"
+    write_listings(path, world.listings)
+    lines = path.read_text().splitlines(keepends=True)
+    # Line 6 holds listing id 5, after ids 1-4 on lines 2-5.
+    fields = lines[5].split("\t")
+    fields[field] = value
+    lines[5] = "\t".join(fields)
+    path.write_text("".join(lines))
+    with pytest.raises(DataError, match=f"listings.tsv:6: bad row: .*{message}"):
+        read_listings(path)
 
 
 def test_config_validation():

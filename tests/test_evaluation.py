@@ -266,7 +266,6 @@ def test_gap_statistics_counts_band_listings(stack):
     if rows.size == 0:
         return
     gb = batch.take(rows)
-    by_id = {l.listing_id: l for l in world.listings}
     gap_ids = set(world.gap.listing_ids)
     model = models[shard]
     probs = model.predict_probs(gb).astype(np.float64)
@@ -279,11 +278,13 @@ def test_gap_statistics_counts_band_listings(stack):
     assert stats.cell_retrieved_total == pytest.approx(expected_cell, abs=1e-9)
     coords = destination_coords(gb, world.destinations)
     rects = bmodel.predict_bounds(gb, coords)
+    store = world.listings
+    band = [int(np.flatnonzero(store.ids == i)[0]) for i in world.gap.listing_ids]
     expected_rect = 0
     for e, rect in enumerate(rects):
-        for i in world.gap.listing_ids:
-            l = by_id[i]
-            if l.active and l.capacity >= gb.num_guests[e] and rect.contains(l.lat, l.lng):
+        for r in band:
+            seats = store.capacities[r] >= gb.num_guests[e]
+            if store.active[r] and seats and rect.contains(store.lats[r], store.lngs[r]):
                 expected_rect += 1
     assert stats.rect_retrieved_total == pytest.approx(expected_rect, abs=1e-9)
 

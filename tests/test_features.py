@@ -3,7 +3,7 @@ behavior, shard partition, and artifact round trips."""
 
 import numpy as np
 import pytest
-from conftest import SMALL
+from smallworld import SMALL
 
 from cellsearch.datagen import Destination, SearchEvent
 from cellsearch.errors import DataError

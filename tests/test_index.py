@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cellsearch.datagen import Listing
+from cellsearch.datagen import ListingStore
 from cellsearch.errors import DataError
 from cellsearch.index import ListingIndex, load_index, save_index
 from cellsearch.s2geom import GeoRect, cell_from_latlng, cells_from_latlng_vec
@@ -19,30 +19,42 @@ def world(small_dataset):
 
 @pytest.fixture(scope="module")
 def index(world):
-    return ListingIndex.build(world.listings, world.listing_cells)
+    return ListingIndex.build(world.listings)
+
+
+def listing_rows(store):
+    """(id, lat, lng, capacity, active, cell) of every listing."""
+    return zip(
+        store.ids.tolist(),
+        store.lats.tolist(),
+        store.lngs.tolist(),
+        store.capacities.tolist(),
+        store.active.tolist(),
+        store.cells.tolist(),
+    )
 
 
 def brute_force_cells(world, cell_set, num_guests, active_only=True):
     out = []
-    for listing, cell in zip(world.listings, world.listing_cells):
-        if active_only and not listing.active:
+    for lid, _, _, capacity, active, cell in listing_rows(world.listings):
+        if active_only and not active:
             continue
-        if listing.capacity < num_guests:
+        if capacity < num_guests:
             continue
-        if int(cell) in cell_set:
-            out.append(listing.listing_id)
+        if cell in cell_set:
+            out.append(lid)
     return np.array(sorted(out), dtype=np.int64)
 
 
 def brute_force_rect(world, rect, num_guests, active_only=True):
     out = []
-    for listing in world.listings:
-        if active_only and not listing.active:
+    for lid, lat, lng, capacity, active, _ in listing_rows(world.listings):
+        if active_only and not active:
             continue
-        if listing.capacity < num_guests:
+        if capacity < num_guests:
             continue
-        if bool(rect.contains(listing.lat, listing.lng)):
-            out.append(listing.listing_id)
+        if bool(rect.contains(lat, lng)):
+            out.append(lid)
     return np.array(sorted(out), dtype=np.int64)
 
 
@@ -51,7 +63,7 @@ def test_postings_partition_active_listings(world, index):
     assert lengths.sum() == index.n_active
     assert np.all(lengths > 0)
     assert np.all(np.diff(index.posting_cells.astype(np.int64)) > 0)
-    active_ids = {l.listing_id for l in world.listings if l.active}
+    active_ids = set(world.listings.ids[world.listings.active].tolist())
     assert set(index.posting_ids.tolist()) == active_ids
     for k in range(0, index.posting_cells.size, 37):
         lo, hi = index.posting_offsets[k], index.posting_offsets[k + 1]
@@ -71,7 +83,7 @@ def test_posting_accessor_matches_brute_force(world, index):
 
 def test_retrieve_cells_matches_brute_force(world, index):
     rng = np.random.default_rng(1)
-    listing_cells = np.unique(world.listing_cells)
+    listing_cells = np.unique(world.listings.cells)
     ocean = cells_from_latlng_vec(
         rng.uniform(-40, 40, size=50), rng.uniform(-40, -20, size=50), 11
     )
@@ -85,7 +97,7 @@ def test_retrieve_cells_matches_brute_force(world, index):
         np.testing.assert_array_equal(got, want)
         rows = index.posting_rows(np.unique(query))
         np.testing.assert_array_equal(
-            np.sort(index.listing_ids[rows]), brute_force_cells(world, set(query.tolist()), 1)
+            np.sort(index.listings.ids[rows]), brute_force_cells(world, set(query.tolist()), 1)
         )
         want_all = brute_force_cells(
             world, set(query.tolist()), guests, active_only=False
@@ -139,14 +151,15 @@ def test_capacity_count_table_matches_brute_force(world, index):
             [np.uint64(cell_from_latlng(0.0, 0.0, 11))],
         ]
     )
+    cells = np.append(cells, cells[0])  # a repeated cell gets its own row
     table = index.capacity_count_table(cells, max_guests=10)
-    assert table.shape == (16, 11)
+    assert table.shape == (17, 11)
     for i, cell in enumerate(cells):
         for g in range(11):
             want = sum(
                 1
-                for l, c in zip(world.listings, world.listing_cells)
-                if l.active and int(c) == int(cell) and l.capacity >= g
+                for _, _, _, capacity, active, c in listing_rows(world.listings)
+                if active and c == int(cell) and capacity >= g
             )
             assert table[i, g] == want
     assert np.all(np.diff(table, axis=1) <= 0)  # monotone in guests
@@ -221,10 +234,8 @@ def test_concurrent_reads_are_consistent(world, index):
 
 
 def test_all_inactive_store_uses_scan_fallback():
-    listings = [
-        Listing(listing_id=i, lat=10.0 + 0.01 * i, lng=20.0, capacity=2, active=False)
-        for i in range(5)
-    ]
+    lats = [10.0 + 0.01 * i for i in range(5)]
+    listings = ListingStore.from_columns(range(5), lats, [20.0] * 5, [2] * 5, [False] * 5)
     idx = ListingIndex.build(listings)
     assert idx.posting_cells.size == 0
     assert idx.n_active == 0
@@ -232,17 +243,12 @@ def test_all_inactive_store_uses_scan_fallback():
     assert idx.retrieve_cells([cell]).size == 0
     assert idx.posting_rows([cell]).size == 0
     got = idx.retrieve_cells([cell], active_only=False)
-    want = [
-        l.listing_id
-        for l, c in zip(listings, idx.cells[np.argsort(idx.listing_ids)])
-        if int(c) == cell
-    ]
+    want = [i for i, lat in enumerate(lats) if int(cell_from_latlng(lat, 20.0, 11)) == cell]
     np.testing.assert_array_equal(got, np.array(sorted(want), dtype=np.int64))
 
 
 def test_build_rejects_bad_stores(world):
     with pytest.raises(DataError):
-        ListingIndex.build([])
-    dupes = [world.listings[0], world.listings[0]]
-    with pytest.raises(DataError):
-        ListingIndex.build(dupes)
+        ListingIndex.build(world.listings.take(np.zeros(len(world.listings), dtype=bool)))
+    with pytest.raises(DataError, match="listing id 7 repeats"):
+        ListingStore.from_columns([7, 3, 7], [1.0] * 3, [2.0] * 3, [1] * 3, [True] * 3)

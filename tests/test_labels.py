@@ -3,7 +3,7 @@ coverage accounting, persistence."""
 
 import numpy as np
 import pytest
-from conftest import SMALL
+from smallworld import SMALL
 
 from cellsearch.errors import DataError
 from cellsearch.features import encode_events, fit_pipeline, shard_of
