@@ -53,6 +53,7 @@ from .features import SHARDS, encode_events, fit_pipeline, load_pipeline, merge_
 from .index import ListingIndex, load_index, save_index
 from .labels import build_vocab, load_vocab, save_vocab
 from .model import ShardModel
+from .nn import trunk_inputs
 from .svg import write_sweep_svg
 
 
@@ -179,14 +180,28 @@ def _best(model, key: str) -> str:
     return f" best_{key} {model.train_log[model.best_epoch][key]:.6f}"
 
 
+def _load_matching(pipeline, run: cfg.RunConfig, name: str, load, *args):
+    """load(path, *args) of the workdir file `name`, a trunk model whose
+    embedding tables and continuous width must be those of the pipeline."""
+    path = run.require(name)
+    model = load(path, *args)
+    have = (model.spec.emb_names, model.spec.emb_rows, model.spec.n_continuous)
+    for field, found, wanted in zip(("emb_names", "emb_rows", "n_continuous"), have, trunk_inputs(pipeline)):
+        if found != wanted:
+            raise DataError(
+                f"{path} has {field} {found!r}, but {run.path(cfg.PIPELINE_FILE)} gives {wanted!r}"
+            )
+    return model
+
+
 def _load_stack(run: cfg.RunConfig):
     world, _, eval_events = load_dataset(run.require_data())
     pipeline = load_pipeline(run.require(cfg.PIPELINE_FILE))
     models = {}
     for shard in SHARDS:
         vocab = load_vocab(run.require(cfg.vocab_file(shard)), shard)
-        models[shard] = load_model(run.require(cfg.model_file(shard)), vocab)
-    bmodel = load_baseline(run.require(cfg.BASELINE_FILE))
+        models[shard] = _load_matching(pipeline, run, cfg.model_file(shard), load_model, vocab)
+    bmodel = _load_matching(pipeline, run, cfg.BASELINE_FILE, load_baseline)
     index, _ = load_index(run.require(cfg.INDEX_FILE), world.listings)
     eval_batches = encode_events(eval_events, world.destinations, pipeline)
     return world, pipeline, models, bmodel, index, eval_batches
@@ -268,7 +283,7 @@ def cmd_retrieve(run: cfg.RunConfig, args) -> int:
 
     limit = max(args.limit, 0)
     if args.rect:
-        bmodel = load_baseline(run.require(cfg.BASELINE_FILE))
+        bmodel = _load_matching(pipeline, run, cfg.BASELINE_FILE, load_baseline)
         rect = bmodel.predict_bounds(batch, destination_coords(batch, destinations))[0]
         print(
             f"rect {rect.lat_lo:.6f} {rect.lat_hi:.6f} {rect.lng_lo:.6f} {rect.lng_hi:.6f}"
@@ -280,7 +295,7 @@ def cmd_retrieve(run: cfg.RunConfig, args) -> int:
         ids = index.retrieve_rect(rect, guests)
     else:
         vocab = load_vocab(run.require(cfg.vocab_file(shard)), shard)
-        model = load_model(run.require(cfg.model_file(shard)), vocab)
+        model = _load_matching(pipeline, run, cfg.model_file(shard), load_model, vocab)
         probs = model.predict_probs(batch)[0].astype(np.float64)
         sel = np.flatnonzero(probs >= args.cutoff)
         order = sel[np.argsort(-probs[sel], kind="stable")]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .labels import RETRIEVAL_LEVEL
+from .labels import RETRIEVAL_LEVEL, is_retrieval_cell
 from .s2geom import GeoRect, cells_from_latlng_vec
 
 CONTINENTS = ("EU", "AMER", "OTHER")
@@ -566,6 +566,18 @@ def _fmt_bool(b: bool) -> str:
     return "1" if b else "0"
 
 
+_INT64 = range(-(2**63), 2**63)
+_FLAGS = ("0", "1")
+
+
+def _parse_point(lat_text: str, lng_text: str) -> tuple[float, float]:
+    lat, lng = float(lat_text), float(lng_text)
+    # NaN fails every comparison, so it is rejected here as well.
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lng <= 180.0):
+        raise DataError(f"lat {lat_text} lng {lng_text} is not a point on the sphere")
+    return lat, lng
+
+
 def _read_tsv(path, fields, parse_row) -> list:
     """parse_row applied to every row of a record file with the given
     header. A row with the wrong field count or a field that does not
@@ -602,15 +614,14 @@ def write_listings(path, listings: ListingStore):
 
 def read_listings(path) -> ListingStore:
     """The listing store of a listings file. A point off the sphere, a
-    capacity below 1, a number beyond 64 bits or a repeated listing id is
-    a DataError naming the file and line."""
+    capacity below 1, a number beyond 64 bits, an active flag other than
+    0 or 1 or a repeated listing id is a DataError naming the file and
+    line."""
     seen = set()
 
     def parse(p):
-        lid, lat, lng, capacity = int(p[0]), float(p[1]), float(p[2]), int(p[3])
-        # NaN fails every comparison, so it is rejected here as well.
-        if not (-90.0 <= lat <= 90.0 and -180.0 <= lng <= 180.0):
-            raise DataError(f"lat {p[1]} lng {p[2]} is not a point on the sphere")
+        lid, capacity = int(p[0]), int(p[3])
+        lat, lng = _parse_point(p[1], p[2])
         if capacity < 1:
             raise DataError(f"capacity {capacity} is below 1")
         if max(abs(lid), capacity) >= 2**63:
@@ -618,6 +629,8 @@ def read_listings(path) -> ListingStore:
         if lid in seen:
             raise DataError(f"listing id {lid} repeats")
         seen.add(lid)
+        if p[4] not in _FLAGS:
+            raise DataError(f"active {p[4]!r} is not 0 or 1")
         return lid, lat, lng, capacity, p[4] == "1"
 
     rows = _read_tsv(path, LISTING_FIELDS, parse)
@@ -653,15 +666,26 @@ def write_destinations(path, destinations):
             )
 
 
-def _parse_destination(p) -> Destination:
-    return Destination(
-        int(p[0]), p[1], float(p[2]), float(p[3]), p[4], p[5], p[6],
-        float(p[7]), _parse_clusters(p[8]),
-    )
-
-
 def read_destinations(path) -> list[Destination]:
-    return _read_tsv(path, DESTINATION_FIELDS, _parse_destination)
+    """The destinations of a destinations file. A continent outside
+    CONTINENTS, a center off the sphere, a bounds diagonal that is not a
+    positive finite number or a repeated destination id is a DataError
+    naming the file and line."""
+    seen = set()
+
+    def parse(p):
+        dest_id, diagonal = int(p[0]), float(p[7])
+        lat, lng = _parse_point(p[2], p[3])
+        if p[6] not in CONTINENTS:
+            raise DataError(f"continent {p[6]!r} is not one of {', '.join(CONTINENTS)}")
+        if not (math.isfinite(diagonal) and diagonal > 0):
+            raise DataError(f"bounds diagonal {p[7]} is not a positive number of km")
+        if dest_id in seen:
+            raise DataError(f"destination id {dest_id} repeats")
+        seen.add(dest_id)
+        return Destination(dest_id, p[1], lat, lng, p[4], p[5], p[6], diagonal, _parse_clusters(p[8]))
+
+    return _read_tsv(path, DESTINATION_FIELDS, parse)
 
 
 def write_events(path, events):
@@ -676,15 +700,35 @@ def write_events(path, events):
             )
 
 
-def _parse_event(p) -> SearchEvent:
-    return SearchEvent(
-        int(p[0]), int(p[1]), p[2], int(p[3]), p[4] == "1", p[5],
-        int(p[6]), p[7] == "1", int(p[8]), int(p[9]), p[10] == "1",
-    )
-
-
 def read_events(path) -> list[SearchEvent]:
-    return _read_tsv(path, EVENT_FIELDS, _parse_event)
+    """The search events of an events file. A guest count or trip length
+    below 1, an encoded number beyond 64 bits, a 0/1 field holding anything else,
+    a booked cell that is not a valid retrieval-level cell id or a
+    repeated search id is a DataError naming the file and line."""
+    seen, cells = set(), set()  # search ids so far; booked cells found valid
+
+    def parse(p):
+        search_id, dest_id, guests, nights, cell = int(p[0]), int(p[1]), int(p[3]), int(p[6]), int(p[9])
+        if guests < 1 or nights < 1:
+            raise DataError(f"num_guests {guests} or trip_length_nights {nights} is below 1")
+        if search_id not in _INT64 or dest_id not in _INT64 or guests not in _INT64:
+            raise DataError("search_id, dest_id or num_guests does not fit in 64 bits")
+        for k in (4, 7, 10):
+            if p[k] not in _FLAGS:
+                raise DataError(f"{EVENT_FIELDS[k]} {p[k]!r} is not 0 or 1")
+        if cell not in cells:
+            if not is_retrieval_cell(cell):
+                raise DataError(f"booked_cell {cell} is not a level-{RETRIEVAL_LEVEL} cell id")
+            cells.add(cell)
+        if search_id in seen:
+            raise DataError(f"search id {search_id} repeats")
+        seen.add(search_id)
+        return SearchEvent(
+            search_id, dest_id, p[2], guests, p[4] == "1", p[5],
+            nights, p[7] == "1", int(p[8]), cell, p[10] == "1",
+        )
+
+    return _read_tsv(path, EVENT_FIELDS, parse)
 
 
 def write_manifest(path, cfg: GenConfig, world: World, n_train: int, n_eval: int):

@@ -10,18 +10,22 @@ Sharding is by destination continent.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datagen import Destination, SearchEvent, read_json_artifact
-from .errors import ConfigError, DataError
+from .datagen import CONTINENTS, Destination, SearchEvent, read_json_artifact
+from .errors import DataError
 from .s2geom import cell_from_latlng
 
-SHARDS = ("EU", "AMER", "OTHER")
-CONTINUOUS_FEATURES = ("num_guests", "trip_length_nights", "bounds_diagonal_km")
-BASE_CATEGORICALS = (
+SHARDS = CONTINENTS
+# The feature layout: the destination center's cell at each of CELL_LEVELS,
+# then the destination's and the search's own categories; and three
+# continuous columns.
+CELL_LEVELS = (4, 7, 11)
+CATEGORICAL_FEATURES = tuple(f"dest_cell_l{level}" for level in CELL_LEVELS) + (
     "dest_type",
     "dest_country",
     "origin_country",
@@ -29,125 +33,70 @@ BASE_CATEGORICALS = (
     "is_mobile_app",
     "is_weekend",
 )
-DEFAULT_CELL_LEVELS = (4, 7, 11)
+CONTINUOUS_FEATURES = ("num_guests", "trip_length_nights", "bounds_diagonal_km")
+_SHARD_INDEX = {shard: k for k, shard in enumerate(SHARDS)}
 
 
-def shard_of(dest: Destination) -> str:
-    if dest.continent not in SHARDS:
-        raise DataError(f"unknown continent {dest.continent!r}")
-    return dest.continent
+@functools.cache
+def _center_cells(lat: float, lng: float) -> tuple[int, ...]:
+    """The cells of one destination center at each of CELL_LEVELS, kept
+    for the life of the process (one entry per distinct center): computing
+    them took most of the encode of one served search."""
+    return tuple(int(cell_from_latlng(lat, lng, level)) for level in CELL_LEVELS)
 
 
-def cell_feature_names(cell_levels) -> tuple[str, ...]:
-    return tuple(f"dest_cell_l{lvl}" for lvl in cell_levels)
-
-
-def categorical_feature_names(cell_levels) -> tuple[str, ...]:
-    return cell_feature_names(cell_levels) + BASE_CATEGORICALS
-
-
-def destination_cells(dest: Destination, cell_levels) -> tuple[int, ...]:
-    """Grid cells of the destination center at each configured level."""
-    return tuple(
-        int(cell_from_latlng(dest.lat, dest.lng, lvl)) for lvl in cell_levels
-    )
-
-
-def categorical_raw_values(
-    event: SearchEvent, dest: Destination, dest_cells: tuple
-) -> tuple:
-    """Pre-vocabulary categorical values, in feature order. dest_cells is
-    destination_cells(dest, cell_levels), which callers cache per
-    destination because computing it dominates encoding."""
-    return dest_cells + (
-        dest.dest_type,
-        dest.country,
-        event.origin_country,
-        event.device_type,
-        "1" if event.is_mobile_app else "0",
-        "1" if event.is_weekend else "0",
-    )
-
-
-def continuous_raw_values(event: SearchEvent, dest: Destination) -> tuple:
-    return (
-        float(event.num_guests),
-        float(event.trip_length_nights),
-        float(dest.bounds_diagonal_km),
-    )
+def _raw_features(events: list[SearchEvent], destinations: list[Destination]):
+    """(shard, continuous, columns) of events: each event's index into
+    SHARDS, the (N, 3) float64 raw continuous matrix, and one list of raw
+    values per CATEGORICAL_FEATURES entry. Continents are checked where
+    destinations are read, so every destination has a shard."""
+    by_id = {d.dest_id: d for d in destinations}
+    dests = [by_id.get(e.dest_id) for e in events]
+    for e, d in zip(events, dests):
+        if d is None:
+            raise DataError(f"event {e.search_id} references unknown destination {e.dest_id}")
+    shard = np.array([_SHARD_INDEX[d.continent] for d in dests], dtype=np.int64)
+    continuous = np.array(
+        [(e.num_guests, e.trip_length_nights, d.bounds_diagonal_km) for e, d in zip(events, dests)],
+        dtype=np.float64,
+    ).reshape(-1, len(CONTINUOUS_FEATURES))
+    cells = [_center_cells(d.lat, d.lng) for d in dests]
+    columns = [[c[k] for c in cells] for k in range(len(CELL_LEVELS))] + [
+        [d.dest_type for d in dests],
+        [d.country for d in dests],
+        [e.origin_country for e in events],
+        [e.device_type for e in events],
+        ["1" if e.is_mobile_app else "0" for e in events],
+        ["1" if e.is_weekend else "0" for e in events],
+    ]
+    return shard, continuous, columns
 
 
 @dataclass
 class FeaturePipeline:
     """Fitted encoder state. Vocabularies map raw value -> 1-based index."""
 
-    cell_levels: tuple[int, ...]
     continuous_mean: np.ndarray
     continuous_std: np.ndarray
     vocabs: dict[str, dict]
 
-    @property
-    def categorical_names(self) -> tuple[str, ...]:
-        return categorical_feature_names(self.cell_levels)
-
     def vocab_sizes(self) -> dict[str, int]:
-        """Embedding row counts per feature: vocabulary size + unknown."""
-        return {
-            name: len(self.vocabs[name]) + 1 for name in self.categorical_names
-        }
-
-    def n_continuous(self) -> int:
-        return len(CONTINUOUS_FEATURES)
+        """Embedding row counts per feature, in CATEGORICAL_FEATURES order:
+        vocabulary size + unknown."""
+        return {name: len(self.vocabs[name]) + 1 for name in CATEGORICAL_FEATURES}
 
 
-def _destination_of(event: SearchEvent, dest_by_id: dict) -> Destination:
-    d = dest_by_id.get(event.dest_id)
-    if d is None:
-        raise DataError(f"event {event.search_id} references unknown destination {event.dest_id}")
-    return d
-
-
-def fit_pipeline(
-    train_events: list[SearchEvent],
-    destinations: list[Destination],
-    cell_levels=DEFAULT_CELL_LEVELS,
-) -> FeaturePipeline:
+def fit_pipeline(train_events: list[SearchEvent], destinations: list[Destination]) -> FeaturePipeline:
     """Fit normalization and vocabularies on training events only."""
     if not train_events:
         raise DataError("cannot fit a pipeline on zero events")
-    if not cell_levels or any(not 0 <= l <= 30 for l in cell_levels):
-        raise ConfigError(f"bad cell levels {cell_levels!r}")
-    cell_levels = tuple(int(l) for l in cell_levels)
-    dest_by_id = {d.dest_id: d for d in destinations}
-    dests = [_destination_of(e, dest_by_id) for e in train_events]
-
-    cont = np.array(
-        [
-            continuous_raw_values(e, d)
-            for e, d in zip(train_events, dests)
-        ],
-        dtype=np.float64,
-    )
-    mean = cont.mean(axis=0)
-    std = cont.std(axis=0)  # population std
-    std = np.where(std == 0.0, 1.0, std)
-
-    names = categorical_feature_names(cell_levels)
-    observed: dict[str, set] = {n: set() for n in names}
-    dest_cell_cache: dict[int, tuple] = {}
-    for e, d in zip(train_events, dests):
-        cells = dest_cell_cache.get(d.dest_id)
-        if cells is None:
-            cells = destination_cells(d, cell_levels)
-            dest_cell_cache[d.dest_id] = cells
-        values = categorical_raw_values(e, d, cells)
-        for n, v in zip(names, values):
-            observed[n].add(v)
-
+    _, continuous, columns = _raw_features(train_events, destinations)
+    std = continuous.std(axis=0)  # population std
     vocabs = {
-        n: {v: i + 1 for i, v in enumerate(sorted(observed[n]))} for n in names
+        name: {v: i + 1 for i, v in enumerate(sorted(set(column)))}
+        for name, column in zip(CATEGORICAL_FEATURES, columns)
     }
-    return FeaturePipeline(cell_levels, mean, std, vocabs)
+    return FeaturePipeline(continuous.mean(axis=0), np.where(std == 0.0, 1.0, std), vocabs)
 
 
 @dataclass
@@ -167,16 +116,7 @@ class EncodedBatch:
         return self.search_ids.size
 
     def take(self, idx) -> "EncodedBatch":
-        return EncodedBatch(
-            self.shard,
-            self.search_ids[idx],
-            self.dest_ids[idx],
-            self.continuous[idx],
-            self.categorical[idx],
-            self.booked_cells[idx],
-            self.num_guests[idx],
-            self.is_outlier[idx],
-        )
+        return EncodedBatch(self.shard, *(getattr(self, f.name)[idx] for f in fields(self)[1:]))
 
 
 def merge_batches(batches, shard: str = "ALL") -> EncodedBatch:
@@ -192,74 +132,40 @@ def merge_batches(batches, shard: str = "ALL") -> EncodedBatch:
         raise DataError("merge_batches needs at least one batch")
     return EncodedBatch(
         shard,
-        np.concatenate([b.search_ids for b in batches]),
-        np.concatenate([b.dest_ids for b in batches]),
-        np.concatenate([b.continuous for b in batches]),
-        np.concatenate([b.categorical for b in batches]),
-        np.concatenate([b.booked_cells for b in batches]),
-        np.concatenate([b.num_guests for b in batches]),
-        np.concatenate([b.is_outlier for b in batches]),
+        *(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(EncodedBatch)[1:]),
     )
 
 
 def encode_events(
-    events: list[SearchEvent],
-    destinations: list[Destination],
-    pipeline: FeaturePipeline,
+    events: list[SearchEvent], destinations: list[Destination], pipeline: FeaturePipeline
 ) -> dict[str, EncodedBatch]:
-    """Encode events and split them by shard. Total: every event encodes;
-    unknown categorical values map to index 0."""
-    dest_by_id = {d.dest_id: d for d in destinations}
-    names = pipeline.categorical_names
-    dest_cell_cache: dict[int, tuple] = {}
-
-    per_shard: dict[str, list] = {s: [] for s in SHARDS}
-    for e in events:
-        d = _destination_of(e, dest_by_id)
-        cells = dest_cell_cache.get(d.dest_id)
-        if cells is None:
-            cells = destination_cells(d, pipeline.cell_levels)
-            dest_cell_cache[d.dest_id] = cells
-        values = categorical_raw_values(e, d, cells)
-        cat = [pipeline.vocabs[n].get(v, 0) for n, v in zip(names, values)]
-        cont = continuous_raw_values(e, d)
-        per_shard[shard_of(d)].append(
-            (e.search_id, e.dest_id, cont, cat, e.booked_cell, e.num_guests, e.is_outlier)
-        )
-
-    out: dict[str, EncodedBatch] = {}
-    for shard, rows in per_shard.items():
-        if not rows:
-            out[shard] = EncodedBatch(
-                shard,
-                np.empty(0, np.int64),
-                np.empty(0, np.int64),
-                np.empty((0, len(CONTINUOUS_FEATURES))),
-                np.empty((0, len(names)), np.int64),
-                np.empty(0, np.uint64),
-                np.empty(0, np.int64),
-                np.empty(0, bool),
-            )
-            continue
-        cont = np.array([r[2] for r in rows], dtype=np.float64)
-        cont = (cont - pipeline.continuous_mean) / pipeline.continuous_std
-        out[shard] = EncodedBatch(
-            shard,
-            np.array([r[0] for r in rows], dtype=np.int64),
-            np.array([r[1] for r in rows], dtype=np.int64),
-            cont,
-            np.array([r[3] for r in rows], dtype=np.int64),
-            np.array([r[4] for r in rows], dtype=np.uint64),
-            np.array([r[5] for r in rows], dtype=np.int64),
-            np.array([r[6] for r in rows], dtype=bool),
-        )
-    return out
+    """Encode events and split them by shard, keeping event order. Total:
+    every event encodes; unknown categorical values map to index 0."""
+    shard, continuous, columns = _raw_features(events, destinations)
+    categorical = np.array(
+        [
+            [pipeline.vocabs[name].get(v, 0) for v in column]
+            for name, column in zip(CATEGORICAL_FEATURES, columns)
+        ],
+        dtype=np.int64,
+    )
+    encoded = EncodedBatch(
+        "ALL",
+        np.array([e.search_id for e in events], dtype=np.int64),
+        np.array([e.dest_id for e in events], dtype=np.int64),
+        (continuous - pipeline.continuous_mean) / pipeline.continuous_std,
+        categorical.T,
+        np.array([e.booked_cell for e in events], dtype=np.uint64),
+        np.array([e.num_guests for e in events], dtype=np.int64),
+        np.array([e.is_outlier for e in events], dtype=bool),
+    )
+    return {s: replace(encoded.take(shard == k), shard=s) for k, s in enumerate(SHARDS)}
 
 
 def save_pipeline(path, pipeline: FeaturePipeline):
     doc = {
         "format_version": 1,
-        "cell_levels": list(pipeline.cell_levels),
+        "cell_levels": list(CELL_LEVELS),
         "continuous": {
             "names": list(CONTINUOUS_FEATURES),
             "mean": [float(x) for x in pipeline.continuous_mean],
@@ -277,21 +183,32 @@ def save_pipeline(path, pipeline: FeaturePipeline):
 
 
 def load_pipeline(path) -> FeaturePipeline:
+    """The pipeline of a pipeline.json. Cell levels or feature names other
+    than this module's, a repeated vocabulary value, or a mean or std that
+    is not finite (or a std that is not positive) is a DataError naming
+    the file."""
     doc = read_json_artifact(path, "pipeline")
     try:
-        cell_levels = tuple(doc["cell_levels"])
-        cell_names = set(cell_feature_names(cell_levels))
+        if doc["cell_levels"] != list(CELL_LEVELS):
+            raise ValueError(f"cell_levels {doc['cell_levels']!r} are not {list(CELL_LEVELS)}")
+        if doc["continuous"]["names"] != list(CONTINUOUS_FEATURES):
+            raise ValueError(f"continuous names are not {list(CONTINUOUS_FEATURES)}")
+        mean = np.asarray(doc["continuous"]["mean"], dtype=np.float64)
+        std = np.asarray(doc["continuous"]["std"], dtype=np.float64)
+        if mean.shape != std.shape or mean.shape != (len(CONTINUOUS_FEATURES),):
+            raise ValueError(f"continuous mean and std need {len(CONTINUOUS_FEATURES)} entries each")
+        if not (np.isfinite(mean).all() and (np.isfinite(std) & (std > 0)).all()):
+            raise ValueError("continuous mean and std must be finite, std positive")
+        mismatched = set(CATEGORICAL_FEATURES).symmetric_difference(doc["vocabs"])
+        if mismatched:
+            raise ValueError(f"vocabularies do not match the features at {sorted(mismatched)}")
         vocabs = {}
-        for name, values in doc["vocabs"].items():
-            if name in cell_names:
-                vocabs[name] = {int(v): i + 1 for i, v in enumerate(values)}
-            else:
-                vocabs[name] = {v: i + 1 for i, v in enumerate(values)}
-        return FeaturePipeline(
-            cell_levels,
-            np.asarray(doc["continuous"]["mean"], dtype=np.float64),
-            np.asarray(doc["continuous"]["std"], dtype=np.float64),
-            vocabs,
-        )
+        for k, name in enumerate(CATEGORICAL_FEATURES):
+            values = doc["vocabs"][name]
+            parse = int if k < len(CELL_LEVELS) else str
+            vocabs[name] = {parse(v): i + 1 for i, v in enumerate(values)}
+            if len(vocabs[name]) != len(values):
+                raise ValueError(f"vocabulary {name} repeats a value")
+        return FeaturePipeline(mean, std, vocabs)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"pipeline {path} has a missing or bad field: {exc!r}") from None

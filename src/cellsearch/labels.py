@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .s2geom import num_cells_at_level
+from .s2geom import is_valid_raw, num_cells_at_level
 
 # The grid level that classes, listing postings and rectangle coverings
 # share; every module that works at that level imports it from here.
@@ -27,6 +27,11 @@ def is_retrieval_level_raw(raws) -> np.ndarray:
     sent = np.uint64(_SENTINEL)
     low = np.uint64(_LOW_MASK)
     return ((raws & sent) != 0) & ((raws & low) == 0)
+
+
+def is_retrieval_cell(raw: int) -> bool:
+    """True when the int raw is a valid cell id at the retrieval level."""
+    return is_valid_raw(raw) and raw & -raw == _SENTINEL
 
 
 class LabelVocabulary:

@@ -146,20 +146,21 @@ def validate_trunk_config(cfg):
         raise ConfigError(f"dtype must be one of {sorted(DTYPES)}")
 
 
+def trunk_inputs(pipeline) -> tuple[tuple[str, ...], tuple[int, ...], int]:
+    """(emb_names, emb_rows, n_continuous) of a trunk over a fitted
+    feature pipeline: one embedding table per categorical feature, in
+    layout order, and the continuous width."""
+    sizes = pipeline.vocab_sizes()
+    return tuple(sizes), tuple(sizes.values()), int(pipeline.continuous_mean.size)
+
+
 def build_trunk_model(config, pipeline, n_outputs: int, stream: int):
     """Spec, initial parameters and rng of a new trunk model over a fitted
     feature pipeline, with an n_outputs-wide linear head. The rng, seeded
     with (config.seed, stream) so that models sharing a seed draw
     independent streams, initializes the parameters and then trains them."""
-    names = pipeline.categorical_names
-    sizes = pipeline.vocab_sizes()
-    spec = TrunkSpec(
-        emb_names=names,
-        emb_rows=tuple(sizes[name] for name in names),
-        emb_dim=config.embed_dim,
-        n_continuous=pipeline.n_continuous(),
-        hidden=tuple(config.hidden),
-    )
+    emb_names, emb_rows, n_continuous = trunk_inputs(pipeline)
+    spec = TrunkSpec(emb_names, emb_rows, config.embed_dim, n_continuous, tuple(config.hidden))
     dtype = DTYPES[config.dtype]
     rng = np.random.default_rng((config.seed, stream))
     params = init_trunk(rng, spec, dtype)

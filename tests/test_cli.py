@@ -336,22 +336,35 @@ def _truncate_to_half(path):
     path.write_bytes(raw[: len(raw) // 2])
 
 
-def _set_listing_field(field, value):
-    """Set one field of listing id 5 (line 6) of listings.tsv."""
+def _set_row_field(row, field, value):
+    """Set one field of the 0-based line `row` of a TSV file."""
 
     def garble(path):
-        _set_tsv_field(path, 5, field, value)
+        _set_tsv_field(path, row, field, value)
 
     return garble
 
 
-def _drop_json_key(key):
+def _edit_json(edit):
+    """Apply edit to the JSON document of a file, in place."""
+
     def garble(path):
         doc = json.loads(path.read_text())
-        del doc[key]
+        edit(doc)
         path.write_text(json.dumps(doc))
 
     return garble
+
+
+def _set_json(value, *keys):
+    """Set doc[keys[0]]...[keys[-1]] = value in a JSON file."""
+
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+
+    return _edit_json(edit)
 
 
 @pytest.mark.parametrize(
@@ -359,14 +372,24 @@ def _drop_json_key(key):
     [
         ("vocab_EU.txt", _replace_middle_line),
         ("data/manifest.json", _replace_middle_line),
-        ("data/manifest.json", _drop_json_key("seed")),
+        ("data/manifest.json", _edit_json(lambda doc: doc.pop("seed"))),
         ("pipeline.json", _replace_middle_line),
-        ("pipeline.json", _drop_json_key("vocabs")),
+        ("pipeline.json", _edit_json(lambda doc: doc.pop("vocabs"))),
+        ("pipeline.json", _edit_json(lambda doc: doc["vocabs"].pop("device_type"))),
+        ("pipeline.json", _edit_json(lambda doc: doc["continuous"]["mean"].pop())),
+        ("pipeline.json", _set_json([4, 7], "cell_levels")),
+        ("pipeline.json", _set_json(0.0, "continuous", "std", 1)),
+        ("pipeline.json", _set_json(float("nan"), "continuous", "mean", 0)),
+        ("pipeline.json", _edit_json(lambda doc: doc["vocabs"]["origin_country"].pop())),
         ("model_EU.ckpt", _truncate_to_half),
         ("postings.idx", _replace_middle_line),
         ("postings.idx", _overwrite_with_binary),
-        ("data/listings.tsv", _set_listing_field(1, "nan")),
-        ("data/listings.tsv", _set_listing_field(0, "4")),
+        # Line 6 of listings.tsv holds listing id 5.
+        ("data/listings.tsv", _set_row_field(5, 1, "nan")),
+        ("data/listings.tsv", _set_row_field(5, 0, "4")),
+        ("data/eval_events.tsv", _set_row_field(1, 3, "0")),
+        ("data/eval_events.tsv", _set_row_field(1, 9, "-5")),
+        ("data/destinations.tsv", _set_row_field(1, 6, "XX")),
     ],
     ids=[
         "vocab-garbled",
@@ -374,11 +397,20 @@ def _drop_json_key(key):
         "manifest-missing-key",
         "pipeline-garbled",
         "pipeline-missing-key",
+        "pipeline-missing-vocab",
+        "pipeline-two-means",
+        "pipeline-two-cell-levels",
+        "pipeline-zero-std",
+        "pipeline-nan-mean",
+        "pipeline-dropped-origin-country",
         "checkpoint-truncated",
         "postings-garbled",
         "postings-binary",
         "listings-nan-lat",
         "listings-duplicate-id",
+        "eval-events-zero-guests",
+        "eval-events-negative-cell",
+        "destinations-unknown-continent",
     ],
 )
 def test_damaged_artifact_is_a_data_error(pipeline_dir, tmp_path, name, garble):

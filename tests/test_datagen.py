@@ -19,6 +19,8 @@ from cellsearch.datagen import (
     read_events,
     read_listings,
     write_dataset,
+    write_destinations,
+    write_events,
     write_listings,
 )
 from cellsearch.errors import ConfigError, DataError
@@ -201,6 +203,15 @@ def test_listing_rows_are_sorted_by_id_on_read(tmp_path, small_dataset):
     assert read_listings(path) == world.listings
 
 
+def _set_field(path, lineno, field, value):
+    """Set one tab-separated field of the 1-based line `lineno` of a file."""
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[lineno - 1].rstrip("\n").split("\t")
+    fields[field] = value
+    lines[lineno - 1] = "\t".join(fields) + "\n"
+    path.write_text("".join(lines))
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -211,21 +222,73 @@ def test_listing_rows_are_sorted_by_id_on_read(tmp_path, small_dataset):
         (3, "0", "capacity 0 is below 1"),
         (0, "4", "listing id 4 repeats"),
         (0, str(2**64), "does not fit in 64 bits"),
+        (4, "2", "active '2' is not 0 or 1"),
     ],
-    ids=["lat-nan", "lat-95", "lng-inf", "lng-180.5", "capacity-0", "repeated-id", "id-65-bits"],
+    ids=["lat-nan", "lat-95", "lng-inf", "lng-180.5", "capacity-0", "repeated-id", "id-65-bits", "active-2"],
 )
 def test_bad_listing_row_names_its_line(tmp_path, small_dataset, field, value, message):
     world = small_dataset[0]
     path = tmp_path / "listings.tsv"
     write_listings(path, world.listings)
-    lines = path.read_text().splitlines(keepends=True)
     # Line 6 holds listing id 5, after ids 1-4 on lines 2-5.
-    fields = lines[5].split("\t")
-    fields[field] = value
-    lines[5] = "\t".join(fields)
-    path.write_text("".join(lines))
+    _set_field(path, 6, field, value)
     with pytest.raises(DataError, match=f"listings.tsv:6: bad row: .*{message}"):
         read_listings(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (3, "0", "num_guests 0 or trip_length_nights \\d+ is below 1"),
+        (3, "-1", "num_guests -1 or trip_length_nights \\d+ is below 1"),
+        (6, "-4", "trip_length_nights -4 is below 1"),
+        (4, "2", "is_mobile_app '2' is not 0 or 1"),
+        (7, "", "is_weekend '' is not 0 or 1"),
+        (10, "true", "is_outlier 'true' is not 0 or 1"),
+        (9, "-5", "booked_cell -5 is not a level-11 cell id"),
+        (9, str(2**60), f"booked_cell {2**60} is not a level-11 cell id"),
+        (9, str(int(cell_from_latlng(10.0, 20.0, 12))), "is not a level-11 cell id"),
+        (9, str(7 << 61 | 1 << 38), "is not a level-11 cell id"),
+        (0, str(2**63), "does not fit in 64 bits"),
+        (0, "{line_3_search_id}", "search id \\d+ repeats"),
+    ],
+    ids=[
+        "guests-0", "guests-negative", "nights-negative", "mobile-2", "weekend-empty",
+        "outlier-true", "cell-negative", "cell-2-to-60", "cell-level-12", "cell-face-7",
+        "search-id-64-bits", "repeated-search-id",
+    ],
+)
+def test_bad_event_row_names_its_line(tmp_path, small_dataset, field, value, message):
+    _, _, ev = small_dataset
+    path = tmp_path / "eval_events.tsv"
+    write_events(path, ev)
+    # Line 4 holds the third event, line 3 the second.
+    _set_field(path, 4, field, value.format(line_3_search_id=ev[1].search_id))
+    with pytest.raises(DataError, match=f"eval_events.tsv:4: bad row: .*{message}"):
+        read_events(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (6, "XX", "continent 'XX' is not one of EU, AMER, OTHER"),
+        (2, "nan", "not a point on the sphere"),
+        (3, "-181", "not a point on the sphere"),
+        (7, "-5", "bounds diagonal -5 is not a positive number of km"),
+        (7, "0", "bounds diagonal 0 is not a positive"),
+        (7, "nan", "bounds diagonal nan is not a positive"),
+        (0, "1", "destination id 1 repeats"),
+    ],
+    ids=["continent-XX", "lat-nan", "lng-181", "diagonal-negative", "diagonal-0", "diagonal-nan", "repeated-id"],
+)
+def test_bad_destination_row_names_its_line(tmp_path, small_dataset, field, value, message):
+    world = small_dataset[0]
+    path = tmp_path / "destinations.tsv"
+    write_destinations(path, world.destinations)
+    # Line 4 holds destination 2, after destinations 0 and 1.
+    _set_field(path, 4, field, value)
+    with pytest.raises(DataError, match=f"destinations.tsv:4: bad row: .*{message}"):
+        read_destinations(path)
 
 
 def test_config_validation():

@@ -1,6 +1,9 @@
 """Feature pipeline tests: encoding totality, standardization, vocab
 behavior, shard partition, and artifact round trips."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from smallworld import SMALL
@@ -8,16 +11,15 @@ from smallworld import SMALL
 from cellsearch.datagen import Destination, SearchEvent
 from cellsearch.errors import DataError
 from cellsearch.features import (
+    CATEGORICAL_FEATURES,
+    CELL_LEVELS,
     CONTINUOUS_FEATURES,
-    DEFAULT_CELL_LEVELS,
     SHARDS,
-    categorical_raw_values,
-    destination_cells,
+    EncodedBatch,
     encode_events,
     fit_pipeline,
     load_pipeline,
     save_pipeline,
-    shard_of,
 )
 from cellsearch.s2geom import cell_from_latlng
 
@@ -60,12 +62,15 @@ def _mkevent(dest_id=0, origin="FR", search_id=0):
 
 def test_cell_features_of_origin_destination():
     dest = _mkdest()
-    values = categorical_raw_values(
-        _mkevent(), dest, destination_cells(dest, DEFAULT_CELL_LEVELS)
-    )
-    for k, level in enumerate(DEFAULT_CELL_LEVELS):
-        assert values[k] == int(cell_from_latlng(0.0, 0.0, level))
-    assert values[len(DEFAULT_CELL_LEVELS):] == ("city", "FR", "FR", "ios_app", "1", "0")
+    pipe = fit_pipeline([_mkevent()], [dest])
+    batch = encode_events([_mkevent()], [dest], pipe)["EU"]
+    cells = tuple(int(cell_from_latlng(0.0, 0.0, level)) for level in CELL_LEVELS)
+    raw = cells + ("city", "FR", "FR", "ios_app", "1", "0")
+    # One event fits a one-value vocabulary per feature, so each encoded
+    # index is 1 and each vocabulary holds exactly the raw value.
+    assert [pipe.vocabs[name] for name in CATEGORICAL_FEATURES] == [{v: 1} for v in raw]
+    assert batch.categorical.tolist() == [[1] * len(CATEGORICAL_FEATURES)]
+    assert CATEGORICAL_FEATURES[: len(CELL_LEVELS)] == ("dest_cell_l4", "dest_cell_l7", "dest_cell_l11")
 
 
 def test_encoding_total_and_sharded(small_dataset, fitted):
@@ -79,7 +84,30 @@ def test_encoding_total_and_sharded(small_dataset, fitted):
     for shard, batch in enc.items():
         assert batch.categorical.min() >= 0
         for did in np.unique(batch.dest_ids):
-            assert shard_of(world.destinations[int(did)]) == shard
+            assert world.destinations[int(did)].continent == shard
+
+
+def test_single_event_encoding_matches_batch(small_dataset, fitted):
+    # Serving encodes one search at a time; each such encoding must equal
+    # that search's row of the batch encoding, field for field and dtype
+    # for dtype, and leave the other shards empty.
+    world, _, ev = small_dataset
+    batches = encode_events(ev, world.destinations, fitted)
+    seen = {s: 0 for s in SHARDS}
+    for event in ev:
+        alone = encode_events([event], world.destinations, fitted)
+        assert list(alone) == list(SHARDS)
+        (shard,) = [s for s, b in alone.items() if len(b) == 1]
+        row = seen[shard]
+        seen[shard] += 1
+        for s, batch in alone.items():
+            want = batches[s].take(slice(row, row + 1) if s == shard else slice(0, 0))
+            assert batch.shard == want.shard == s
+            for f in fields(EncodedBatch)[1:]:
+                np.testing.assert_array_equal(
+                    getattr(batch, f.name), getattr(want, f.name), err_msg=f.name, strict=True
+                )
+    assert seen == {s: len(b) for s, b in batches.items()}
 
 
 def test_train_features_standardized(small_dataset, fitted):
@@ -116,8 +144,8 @@ def test_unknown_category_maps_to_zero(small_dataset, fitted):
         is_outlier=False,
     )
     enc = encode_events([novel], world.destinations, fitted)
-    batch = enc[shard_of(dest)]
-    col = fitted.categorical_names.index("origin_country")
+    batch = enc[dest.continent]
+    col = CATEGORICAL_FEATURES.index("origin_country")
     assert batch.categorical[0, col] == 0
 
 
@@ -131,6 +159,7 @@ def test_vocab_indices_dense_and_sorted(fitted):
 
 def test_vocab_sizes_include_unknown_row(fitted):
     sizes = fitted.vocab_sizes()
+    assert tuple(sizes) == CATEGORICAL_FEATURES
     for name, vocab in fitted.vocabs.items():
         assert sizes[name] == len(vocab) + 1
 
@@ -139,7 +168,7 @@ def test_pipeline_save_load_round_trip(tmp_path, fitted):
     path = tmp_path / "pipeline.json"
     save_pipeline(path, fitted)
     loaded = load_pipeline(path)
-    assert loaded.cell_levels == fitted.cell_levels
+    assert json.loads(path.read_text())["cell_levels"] == list(CELL_LEVELS)
     np.testing.assert_array_equal(loaded.continuous_mean, fitted.continuous_mean)
     np.testing.assert_array_equal(loaded.continuous_std, fitted.continuous_std)
     assert loaded.vocabs == fitted.vocabs

@@ -6,7 +6,7 @@ import pytest
 from smallworld import SMALL
 
 from cellsearch.errors import DataError
-from cellsearch.features import encode_events, fit_pipeline, shard_of
+from cellsearch.features import encode_events, fit_pipeline
 from cellsearch.labels import (
     LabelVocabulary,
     build_vocab,
