@@ -40,12 +40,12 @@ print(f"\n{shard} vocabulary: {len(vocab)} classes "
       f"({vocab.reduction_ratio():.2e} of the grid)")
 
 # 4. Train. num_negatives controls how many negative classes each step
-# samples; the run logs train loss and validation cross entropy per epoch
-# and keeps the best-epoch weights.
+# samples; the run holds out 10% of the training rows, logs train loss and
+# their cross entropy per epoch and keeps the best-epoch weights.
 tc = TrainConfig(embed_dim=8, hidden=(32, 16), epochs=3, batch_size=32,
                  num_negatives=16, seed=5)
 model = ShardModel.build(tc, pipeline, vocab)
-model.fit(batch, eval_batches[shard])
+model.fit(batch)
 for entry in model.train_log:
     print(f"epoch {entry['epoch']}: train {entry['train_loss']:.4f} "
           f"val ce {entry['val_ce']:.4f}")

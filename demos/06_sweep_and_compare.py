@@ -46,7 +46,7 @@ models = {}
 for shard in SHARDS:
     vocab = build_vocab(shard, train_batches[shard].booked_cells)
     models[shard] = ShardModel.build(tc, pipeline, vocab)
-    models[shard].fit(train_batches[shard], eval_batches[shard])
+    models[shard].fit(train_batches[shard])
 
 merged = merge_batches(list(train_batches.values()))
 bc = BoundsConfig(embed_dim=8, hidden=(32, 16), epochs=2, batch_size=256, seed=5)

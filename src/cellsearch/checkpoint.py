@@ -59,7 +59,8 @@ def save_checkpoint(path, kind: str, config: dict, tensors: dict):
 def load_checkpoint(path):
     """Read a checkpoint; returns (kind, config, tensors) with tensors an
     ordered dict of float32 arrays in header order."""
-    raw = open(path, "rb").read()
+    with open(path, "rb") as f:
+        raw = f.read()
     with data_file(path):
         return _parse_checkpoint(raw)
 

@@ -135,7 +135,9 @@ def cmd_gen(run: cfg.RunConfig, args) -> int:
 def cmd_train(run: cfg.RunConfig, args) -> int:
     """Fits everything before writing anything, so a failed fit leaves no
     partial set of artifacts behind."""
-    world, train_events, _ = load_dataset(run.require_data())
+    data_dir = run.require_data()
+    world = load_dataset(data_dir)
+    train_events = read_events(os.path.join(data_dir, "train_events.tsv"))
     pipeline = fit_pipeline(train_events, world.destinations)
     batches = encode_events(train_events, world.destinations, pipeline)
     vocabs = {shard: build_vocab(shard, batches[shard].booked_cells) for shard in SHARDS}
@@ -195,7 +197,9 @@ def _load_matching(pipeline, run: cfg.RunConfig, name: str, load, *args):
 
 
 def _load_stack(run: cfg.RunConfig):
-    world, _, eval_events = load_dataset(run.require_data())
+    data_dir = run.require_data()
+    world = load_dataset(data_dir)
+    eval_events = read_events(os.path.join(data_dir, "eval_events.tsv"))
     pipeline = load_pipeline(run.require(cfg.PIPELINE_FILE))
     models = {}
     for shard in SHARDS:

@@ -408,7 +408,8 @@ def _check_gap_safety(world: World):
 
 class _BookingSampler:
     """Per-cluster candidate listings (active, within the booking cutoff),
-    sorted by capacity so guest filters are cheap slices."""
+    in store row order. The order decides which of two equally near
+    listings is booked (argmin takes the first), so it must not change."""
 
     def __init__(self, world: World):
         self.world = world
@@ -788,8 +789,9 @@ def write_dataset(data_dir, cfg: GenConfig, world: World, train, eval_):
     )
 
 
-def load_dataset(data_dir):
-    """Reconstruct (world, train_events, eval_events) from a data dir."""
+def load_dataset(data_dir) -> World:
+    """Reconstruct the world (destinations, listings and manifest) from a
+    data dir. The search events are read on their own with read_events."""
     path = os.path.join(data_dir, "manifest.json")
     doc = read_json_artifact(path, "manifest")
     try:
@@ -816,7 +818,4 @@ def load_dataset(data_dir):
     absent = np.setdiff1d(np.asarray(gap.listing_ids, dtype=np.int64), listings.ids)
     if absent.size:
         raise DataError(f"manifest {path} names band listing {absent[0]}, absent from listings.tsv")
-    world = World(cfg, destinations, listings, popularity, gap)
-    train = read_events(os.path.join(data_dir, "train_events.tsv"))
-    eval_ = read_events(os.path.join(data_dir, "eval_events.tsv"))
-    return world, train, eval_
+    return World(cfg, destinations, listings, popularity, gap)

@@ -5,7 +5,8 @@ classifier retrieves every vocabulary cell whose predicted probability
 reaches the cutoff, and we measure recall, precision, and retrieval cost
 over a window of evaluation searches. The bounds baseline is evaluated
 once (it has no cutoff): its predicted rectangle is expanded to the
-retrieval-level covering and scored with the same definitions.
+retrieval-level covering and scored by the same summary of per-search
+outcomes, as one operating point.
 
 Metric definitions
 ------------------
@@ -27,8 +28,10 @@ precision_event
 mean_cells
     Mean number of retrieved cells per search.
 mean_retrieved
-    Mean number of active listings retrieved per search after the guest
-    capacity filter, counted through the listing index postings.
+    Mean number of active listings retrieved per search, counted through
+    the listing index postings with serving's capacity rule: a listing
+    counts when its capacity reaches the search's guest count, whatever
+    the party size.
 dest_weighted_recall
     Mean over destinations of the per-destination recall; a secondary
     view that weights rarely searched destinations equally.
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import BoundsModel, destination_coords
-from .datagen import MAX_CAPACITY, World
+from .datagen import World
 from .errors import ConfigError, DataError
 from .features import SHARDS, EncodedBatch
 from .index import ListingIndex
@@ -100,7 +103,6 @@ class SweepResult:
     mean_cells: np.ndarray
     mean_retrieved: np.ndarray
     dest_weighted_recall: np.ndarray
-    dest_ids: np.ndarray
     dest_precisions: np.ndarray  # (n_dests, n_lambdas)
     booked_probs: np.ndarray  # (n_events,) probability of the booked cell, -1 if OOV
     n_events: int
@@ -108,14 +110,28 @@ class SweepResult:
     oov_events: int
 
     def point(self, j: int) -> MetricPoint:
-        return MetricPoint(
-            recall=float(self.recall[j]),
-            precision_dest=float(self.precision_dest[j]),
-            precision_event=float(self.precision_event[j]),
-            mean_cells=float(self.mean_cells[j]),
-            mean_retrieved=float(self.mean_retrieved[j]),
-            dest_weighted_recall=float(self.dest_weighted_recall[j]),
-        )
+        return MetricPoint(**{name: float(getattr(self, name)[j]) for name in METRIC_FIELDS})
+
+
+def _summary(hits, cells, listings, didx, dest_precisions) -> dict:
+    """The MetricPoint figures at L operating points, each an (L,) array.
+
+    hits, cells and listings are (n, L) per-search outcomes: whether the
+    booked cell is retrieved, how many cells and how many listings are.
+    didx gives each search's destination row of the (D, L)
+    dest_precisions.
+    """
+    dest_hits = np.zeros(dest_precisions.shape)
+    np.add.at(dest_hits, didx, hits.astype(np.float64))
+    dest_events = np.bincount(didx, minlength=dest_precisions.shape[0]).astype(np.float64)
+    return {
+        "recall": hits.mean(axis=0),
+        "precision_dest": dest_precisions.mean(axis=0),
+        "precision_event": np.where(cells > 0, hits / np.maximum(cells, 1), 0.0).mean(axis=0),
+        "mean_cells": cells.mean(axis=0),
+        "mean_retrieved": listings.mean(axis=0),
+        "dest_weighted_recall": (dest_hits / dest_events[:, None]).mean(axis=0),
+    }
 
 
 def _prob_chunks(model: ShardModel, batch: EncodedBatch, chunk_size: int):
@@ -167,9 +183,8 @@ def sweep_shard(
 
     Retrieval at cutoff lam keeps every vocabulary cell with predicted
     probability >= lam. Listing counts come from the index postings with
-    the per-search guest capacity filter applied, which matches what
-    retrieve_cells would return because postings partition the active
-    listings by cell.
+    each search's guest capacity filter, which matches what retrieve_cells
+    returns because postings partition the active listings by cell.
     """
 
     lam = _check_lambdas(LAMBDA_GRID if lambdas is None else lambdas)
@@ -182,13 +197,13 @@ def sweep_shard(
     k = len(model.vocab)
 
     y = model.vocab.lookup_array(batch.booked_cells)
-    dest_ids = np.unique(batch.dest_ids)
-    dest_row = {int(d): i for i, d in enumerate(dest_ids)}
-    didx = np.array([dest_row[int(d)] for d in batch.dest_ids], dtype=np.int64)
+    dest_ids, didx = np.unique(batch.dest_ids, return_inverse=True)
     n_dests = dest_ids.size
 
-    # Listings passing the capacity filter per (cell, guest count).
-    npass = index.capacity_count_table(model.vocab.classes, MAX_CAPACITY)
+    # Listings passing the capacity filter per (cell, guest count), for
+    # every party size up to the batch's largest: retrieve_cells keeps
+    # capacity >= num_guests, whatever the party.
+    npass = index.capacity_count_table(model.vocab.classes, int(batch.num_guests.max()))
     npass_by_guests = np.ascontiguousarray(npass.T, dtype=np.float64)  # (g+1, k)
 
     booked_probs = np.empty(n)
@@ -210,8 +225,7 @@ def sweep_shard(
         suffix = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1]
         cell_counts[lo:hi] = suffix[:, 1:]
 
-        guests = np.minimum(batch.num_guests[lo:hi], MAX_CAPACITY)
-        weights = npass_by_guests[guests]  # (chunk, k)
+        weights = npass_by_guests[batch.num_guests[lo:hi]]  # (chunk, k)
         whist = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=(hi - lo) * (n_lam + 1))
         whist = whist.reshape(hi - lo, n_lam + 1)
         wsuffix = np.cumsum(whist[:, ::-1], axis=1)[:, ::-1]
@@ -221,17 +235,6 @@ def sweep_shard(
             group = probs[didx[lo:hi] == d]
             max_prob[d] = np.maximum(max_prob[d], group.max(axis=0))
 
-    hits = booked_probs[:, None] >= lam[None, :]  # (n, n_lam)
-    recall = hits.mean(axis=0)
-    precision_event = np.where(cell_counts > 0, hits / np.maximum(cell_counts, 1), 0.0).mean(axis=0)
-    mean_cells = cell_counts.mean(axis=0)
-    mean_retrieved = listing_counts.mean(axis=0)
-
-    dest_events = np.bincount(didx, minlength=n_dests).astype(np.float64)
-    dest_hits = np.zeros((n_dests, n_lam))
-    np.add.at(dest_hits, didx, hits.astype(np.float64))
-    dest_weighted_recall = (dest_hits / dest_events[:, None]).mean(axis=0)
-
     dest_precisions = np.zeros((n_dests, n_lam))
     for d in range(n_dests):
         truth = np.unique(y[(didx == d) & (y >= 0)])
@@ -240,18 +243,12 @@ def sweep_shard(
         truth_sorted = np.sort(max_prob[d, truth])
         inter = truth_sorted.size - np.searchsorted(truth_sorted, lam, side="left")
         dest_precisions[d] = np.where(pred_sizes > 0, inter / np.maximum(pred_sizes, 1), 0.0)
-    precision_dest = dest_precisions.mean(axis=0)
 
+    hits = booked_probs[:, None] >= lam[None, :]
     return SweepResult(
         shard=batch.shard,
         lambdas=lam,
-        recall=recall,
-        precision_dest=precision_dest,
-        precision_event=precision_event,
-        mean_cells=mean_cells,
-        mean_retrieved=mean_retrieved,
-        dest_weighted_recall=dest_weighted_recall,
-        dest_ids=dest_ids,
+        **_summary(hits, cell_counts, listing_counts, didx, dest_precisions),
         dest_precisions=dest_precisions,
         booked_probs=booked_probs,
         n_events=n,
@@ -295,10 +292,7 @@ class BaselineEval:
 
     shard: str
     point: MetricPoint
-    dest_ids: np.ndarray
     dest_precisions: np.ndarray
-    dest_recalls: np.ndarray
-    n_events: int
 
 
 def _coverings(rects) -> list:
@@ -351,45 +345,24 @@ def evaluate_baseline(
     booked = batch.booked_cells
     coverings = _coverings(rects)
 
-    hits = np.zeros(n, dtype=bool)
-    cells_per_event = np.zeros(n)
+    hits = np.zeros((n, 1), dtype=bool)
+    for r, (covering, cell) in enumerate(zip(coverings, booked)):
+        pos = np.searchsorted(covering, cell)
+        hits[r] = pos < covering.size and covering[pos] == cell
+    cells = np.array([[c.size] for c in coverings], dtype=np.float64)
+    listings = _rect_counts(index, rects, coverings, batch.num_guests)[:, None]
 
-    dest_ids = np.unique(batch.dest_ids)
-    dest_precisions = np.zeros(dest_ids.size)
-    dest_recalls = np.zeros(dest_ids.size)
-
-    for di, d in enumerate(dest_ids):
-        rows = np.flatnonzero(batch.dest_ids == d)
-        for r in rows:
-            covering = coverings[r]
-            pos = np.searchsorted(covering, booked[r])
-            hits[r] = pos < covering.size and covering[pos] == booked[r]
-            cells_per_event[r] = covering.size
+    dest_ids, didx = np.unique(batch.dest_ids, return_inverse=True)
+    dest_precisions = np.zeros((dest_ids.size, 1))
+    for d in range(dest_ids.size):
+        rows = np.flatnonzero(didx == d)
         union = np.unique(np.concatenate([coverings[r] for r in rows]))
         inter = int(np.isin(np.unique(booked[rows]), union).sum())
-        dest_precisions[di] = inter / union.size if union.size else 0.0
-        dest_recalls[di] = hits[rows].mean()
+        dest_precisions[d] = inter / union.size if union.size else 0.0
 
-    pos_mask = cells_per_event > 0
-    precision_event = float(
-        np.where(pos_mask, hits / np.maximum(cells_per_event, 1), 0.0).mean()
-    )
-    point = MetricPoint(
-        recall=float(hits.mean()),
-        precision_dest=float(dest_precisions.mean()),
-        precision_event=precision_event,
-        mean_cells=float(cells_per_event.mean()),
-        mean_retrieved=float(_rect_counts(index, rects, coverings, batch.num_guests).mean()),
-        dest_weighted_recall=float(dest_recalls.mean()),
-    )
-    return BaselineEval(
-        shard=batch.shard,
-        point=point,
-        dest_ids=dest_ids,
-        dest_precisions=dest_precisions,
-        dest_recalls=dest_recalls,
-        n_events=n,
-    )
+    summary = _summary(hits, cells, listings, didx, dest_precisions)
+    point = MetricPoint(**{name: float(v[0]) for name, v in summary.items()})
+    return BaselineEval(shard=batch.shard, point=point, dest_precisions=dest_precisions[:, 0])
 
 
 @dataclass

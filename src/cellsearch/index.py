@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, data_file
-from .labels import RETRIEVAL_LEVEL, is_retrieval_level_raw
+from .labels import RETRIEVAL_LEVEL, retrieval_cell_mask
 from .s2geom import GeoRect, cover_rect_raw
 
 INDEX_MAGIC = "cellindex"
@@ -81,10 +81,7 @@ class ListingIndex:
         if isinstance(cells, (set, frozenset)):
             cells = sorted(cells)
         query = np.unique(np.asarray(cells, dtype=np.uint64))
-        retrieval_level = is_retrieval_level_raw(query) & (
-            (query >> np.uint64(61)) < np.uint64(6)
-        )
-        if query.size and not bool(np.all(retrieval_level)):
+        if not retrieval_cell_mask(query).all():
             raise DataError("query cells must be valid retrieval-level ids")
         if active_only:
             rows = np.sort(self.posting_rows(query))

@@ -197,20 +197,16 @@ class ShardModel(TrunkModel):
             )
         return batch.take(np.flatnonzero(keep)), idx[keep], int((~keep).sum())
 
-    def fit(self, batch: EncodedBatch, val_batch: EncodedBatch | None = None):
+    def fit(self, batch: EncodedBatch):
         """Mini-batch SGD with early stopping on held-out cross entropy.
 
-        Without an explicit val_batch, 10% of the rows (at least one) are
-        held out. The parameters from the best validation epoch are kept.
-        Returns the per-epoch log.
+        10% of the in-vocabulary rows (at least one) are held out, and the
+        parameters from the best validation epoch are kept. Returns the
+        per-epoch log.
         """
         batch, targets, dropped = self._targets_of(batch)
-        if val_batch is None:
-            train_rows, val_rows = holdout_split(self.rng, targets.size)
-            val, val_y = batch.take(val_rows), targets[val_rows]
-        else:
-            train_rows = np.arange(targets.size)
-            val, val_y, _ = self._targets_of(val_batch)
+        train_rows, val_rows = holdout_split(self.rng, targets.size)
+        val, val_y = batch.take(val_rows), targets[val_rows]
 
         def step(rows):
             loss = self.train_step(

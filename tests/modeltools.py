@@ -72,18 +72,18 @@ def tiny_fit(kind, n=32, seed=0, data_seed=1, **cfg_kw):
 
     Returns (model, fit, holdout): fit() trains and returns the log, and
     holdout() is the validation figure the fit minimizes, computed from
-    the model's current parameters. The classifier validates on an
-    explicit batch; the regressor on its own holdout split, found by
-    replaying the split (the first draw of its rng) on a copy.
+    the model's current parameters. Both kinds validate on their own
+    holdout split, found by replaying the split (the first draw of the
+    model's rng) on a copy.
     """
     if kind == "classifier":
         model = tiny_model(n_classes=5, num_negatives=1, seed=seed, **cfg_kw)
         batch, _ = tiny_batch(model, n, seed=data_seed)
-        val, _ = tiny_batch(model, n // 2, seed=data_seed + 1)
+        _, val_rows = nn.holdout_split(copy.deepcopy(model.rng), n)
         return (
             model,
-            lambda: model.fit(batch, val_batch=val),
-            lambda: model.eval_cross_entropy(val),
+            lambda: model.fit(batch),
+            lambda: model.eval_cross_entropy(batch.take(val_rows)),
         )
     model = tiny_bounds(seed=seed, **cfg_kw)
     batch, _ = tiny_batch(tiny_model(seed=seed), n, seed=data_seed)

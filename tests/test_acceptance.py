@@ -334,7 +334,7 @@ def e2e():
     for shard in SHARDS:
         vocab = build_vocab(shard, train_b[shard].booked_cells)
         model = ShardModel.build(TrainConfig(), pipeline, vocab)
-        model.fit(train_b[shard], eval_b[shard])
+        model.fit(train_b[shard])
         models[shard] = model
     merged = merge_batches(list(train_b.values()))
     bmodel = BoundsModel.build(BoundsConfig(), pipeline)

@@ -13,7 +13,7 @@ import pytest
 import cellsearch
 from cellsearch import cli
 from cellsearch.cli import main
-from cellsearch.datagen import load_dataset
+from cellsearch.datagen import load_dataset, read_events
 from cellsearch.errors import DataError
 from cellsearch.features import SHARDS, encode_events, fit_pipeline
 from cellsearch.labels import build_vocab
@@ -241,7 +241,8 @@ def test_train_full_scale_fails_before_any_work(fresh_data, capsys):
 
 def test_train_failing_mid_fit_writes_nothing(fresh_data, capsys):
     cfg_path, workdir = fresh_data
-    world, train, _ = load_dataset(workdir / "data")
+    world = load_dataset(workdir / "data")
+    train = read_events(workdir / "data" / "train_events.tsv")
     batches = encode_events(train, world.destinations, fit_pipeline(train, world.destinations))
     sizes = {s: len(build_vocab(s, batches[s].booked_cells)) for s in SHARDS}
     # One negative fewer than the smallest shard's classes passes the
@@ -425,3 +426,19 @@ def test_damaged_artifact_is_a_data_error(pipeline_dir, tmp_path, name, garble):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("data error: ")
     assert os.path.basename(name) in proc.stderr
+
+
+def test_sweep_and_compare_ignore_the_training_searches(pipeline_dir, tmp_path, capsys):
+    base, cfg_path, workdir = pipeline_dir
+    assert main(["compare", "--config", str(cfg_path)]) == 0
+    report = (workdir / "report.txt").read_bytes()
+    copy = tmp_path / "run"
+    shutil.copytree(workdir, copy)
+    own_cfg = tmp_path / "cfg.json"
+    own_cfg.write_text(json.dumps(dict(CFG, workdir=str(copy))))
+    (copy / "report.txt").unlink()
+    (copy / "data" / "train_events.tsv").write_text("not\ta search log\n")
+    assert main(["sweep", "--config", str(own_cfg)]) == 0
+    assert main(["compare", "--config", str(own_cfg)]) == 0
+    capsys.readouterr()
+    assert (copy / "report.txt").read_bytes() == report

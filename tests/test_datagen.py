@@ -176,11 +176,11 @@ def test_round_trip_files(tmp_path, small_dataset):
     assert read_listings(tmp_path / "listings.tsv") == world.listings
     assert read_destinations(tmp_path / "destinations.tsv") == world.destinations
     assert read_events(tmp_path / "train_events.tsv") == train
-    w2, t2, e2 = load_dataset(str(tmp_path))
+    assert read_events(tmp_path / "eval_events.tsv") == ev
+    w2 = load_dataset(str(tmp_path))
     assert w2.listings == world.listings
     assert w2.destinations == world.destinations
     assert w2.gap == world.gap
-    assert t2 == train and e2 == ev
 
 
 def test_band_listing_absent_from_listings_is_a_data_error(tmp_path, small_dataset):

@@ -69,9 +69,16 @@ def test_lambda_grid_is_log_spaced():
 
 def test_sweep_matches_naive_recomputation(stack):
     world, pipeline, eval_batches, models, bmodel, index = stack
-    shard = "EU"
-    batch = eval_batches[shard].take(slice(0, 48))
-    model = models[shard]
+    batch = eval_batches["EU"].take(slice(0, 48))
+    # A copy in which every third search asks for 12 guests, more than any
+    # listing seats: such a search retrieves no listings at all.
+    large_parties = batch.take(np.arange(len(batch)))
+    large_parties.num_guests[::3] = 12
+    for b in (batch, large_parties):
+        _check_sweep_against_naive(models["EU"], b, index)
+
+
+def _check_sweep_against_naive(model, batch, index):
     lambdas = np.array([1e-4, 1e-3, 5e-3, 2e-2, 1e-1])
     result = sweep_shard(model, batch, index, lambdas=lambdas, chunk_size=7)
 

@@ -85,10 +85,16 @@ def test_empty_shard_rejected():
         build_vocab("EU", np.empty(0, dtype=np.uint64))
 
 
-def test_wrong_level_classes_rejected():
-    coarse = np.array([int(cell_from_latlng(0, 0, 7))], dtype=np.uint64)
-    with pytest.raises(DataError):
-        LabelVocabulary("EU", coarse)
+def test_wrong_level_classes_rejected(tmp_path):
+    coarse = int(cell_from_latlng(0, 0, 7))
+    face7 = 7 << 61 | 1 << 38  # the level-11 sentinel on a face that does not exist
+    for raw in (coarse, face7):
+        with pytest.raises(DataError):
+            LabelVocabulary("EU", np.array([raw], dtype=np.uint64))
+    path = tmp_path / "vocab_EU.txt"
+    path.write_text(f"{face7}\n")
+    with pytest.raises(DataError, match="vocab_EU.txt"):
+        load_vocab(path, "EU")
 
 
 def test_save_load_round_trip(tmp_path, shard_batches):

@@ -198,7 +198,7 @@ def test_divergence_raises_numeric_error_with_log():
     for kind in VAL_KEYS:
         model, fit, _ = tiny_fit(kind, n=12, data_seed=5, epochs=4, batch_size=1)
         model.params["w1"][0, 0] = np.inf
-        with pytest.raises(NumericError) as err:
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericError) as err:
             fit()
         assert isinstance(err.value.log, list), kind
         assert err.value.log is model.train_log, kind
