@@ -200,10 +200,12 @@ def sweep_shard(
     dest_ids, didx = np.unique(batch.dest_ids, return_inverse=True)
     n_dests = dest_ids.size
 
-    # Listings passing the capacity filter per (cell, guest count), for
-    # every party size up to the batch's largest: retrieve_cells keeps
-    # capacity >= num_guests, whatever the party.
-    npass = index.capacity_count_table(model.vocab.classes, int(batch.num_guests.max()))
+    # Listings passing the capacity filter per (cell, guest count), as
+    # retrieve_cells keeps them: capacity >= num_guests. Parties beyond
+    # every listing's capacity share the all-zero row at `top`.
+    top = int(index.listings.capacities.max(initial=0)) + 1
+    guests = np.minimum(batch.num_guests, top)
+    npass = index.capacity_count_table(model.vocab.classes, int(guests.max()))
     npass_by_guests = np.ascontiguousarray(npass.T, dtype=np.float64)  # (g+1, k)
 
     booked_probs = np.empty(n)
@@ -225,7 +227,7 @@ def sweep_shard(
         suffix = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1]
         cell_counts[lo:hi] = suffix[:, 1:]
 
-        weights = npass_by_guests[batch.num_guests[lo:hi]]  # (chunk, k)
+        weights = npass_by_guests[guests[lo:hi]]  # (chunk, k)
         whist = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=(hi - lo) * (n_lam + 1))
         whist = whist.reshape(hi - lo, n_lam + 1)
         wsuffix = np.cumsum(whist[:, ::-1], axis=1)[:, ::-1]

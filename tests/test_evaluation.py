@@ -71,9 +71,11 @@ def test_sweep_matches_naive_recomputation(stack):
     world, pipeline, eval_batches, models, bmodel, index = stack
     batch = eval_batches["EU"].take(slice(0, 48))
     # A copy in which every third search asks for 12 guests, more than any
-    # listing seats: such a search retrieves no listings at all.
+    # listing seats, and one asks for 10**12: such searches retrieve no
+    # listings at all.
     large_parties = batch.take(np.arange(len(batch)))
     large_parties.num_guests[::3] = 12
+    large_parties.num_guests[1] = 10**12
     for b in (batch, large_parties):
         _check_sweep_against_naive(models["EU"], b, index)
 
