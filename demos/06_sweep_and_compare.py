@@ -14,9 +14,8 @@ import tempfile
 
 import numpy as np
 
-from cellsearch.baseline import (
-    BoundsConfig, BoundsModel, destination_coords, offset_targets,
-)
+from cellsearch.baseline import BoundsConfig
+from cellsearch.cli import fit_stack
 from cellsearch.datagen import GenConfig, generate_dataset
 from cellsearch.evaluation import (
     LAMBDA_GRID,
@@ -25,33 +24,22 @@ from cellsearch.evaluation import (
     sweep_shard,
     write_sweep_csv,
 )
-from cellsearch.features import SHARDS, encode_events, fit_pipeline, merge_batches
+from cellsearch.features import SHARDS, encode_events
 from cellsearch.index import ListingIndex
-from cellsearch.labels import build_vocab
-from cellsearch.model import ShardModel, TrainConfig
+from cellsearch.model import TrainConfig
 from cellsearch.svg import write_sweep_svg
 
-# 1. Build the full reduced-scale stack: world, features, three shard
-# classifiers, pooled baseline, listing index.
+# 1. Build the full reduced-scale stack the way `cellsearch train` does:
+# world, features, three shard classifiers, pooled baseline; then the
+# listing index and the encoded evaluation searches.
 cfg = GenConfig(seed=11, n_destinations=8, n_listings=2400,
                 n_train_events=4000, n_eval_events=600)
 world, train_events, eval_events = generate_dataset(cfg)
-pipeline = fit_pipeline(train_events, world.destinations)
-train_batches = encode_events(train_events, world.destinations, pipeline)
-eval_batches = encode_events(eval_events, world.destinations, pipeline)
-
 tc = TrainConfig(embed_dim=8, hidden=(32, 16), epochs=2, batch_size=32,
                  num_negatives=16, seed=5)
-models = {}
-for shard in SHARDS:
-    vocab = build_vocab(shard, train_batches[shard].booked_cells)
-    models[shard] = ShardModel.build(tc, pipeline, vocab)
-    models[shard].fit(train_batches[shard])
-
-merged = merge_batches(list(train_batches.values()))
 bc = BoundsConfig(embed_dim=8, hidden=(32, 16), epochs=2, batch_size=256, seed=5)
-bmodel = BoundsModel.build(bc, pipeline)
-bmodel.fit(merged, offset_targets(merged, destination_coords(merged, world.destinations)))
+pipeline, _, models, bmodel = fit_stack(tc, bc, world, train_events)
+eval_batches = encode_events(eval_events, world.destinations, pipeline)
 index = ListingIndex.build(world.listings)
 
 # 2. Sweep one shard over the default 40-point cutoff grid. Recall falls

@@ -25,8 +25,7 @@ import numpy as np
 
 from .baseline import BOUNDS_STREAM, BoundsConfig, BoundsModel
 from .errors import ConfigError, DataError, data_file
-from .features import SHARDS
-from .model import ShardModel, TrainConfig
+from .model import ShardModel, TrainConfig, shard_index
 from .nn import DTYPES, TrunkSpec
 
 MAGIC = "cellsearch-checkpoint"
@@ -193,9 +192,8 @@ def _load_trunk_model(path, kind: str, config_cls, stream: int, n_outputs: int, 
 
 def load_model(path, vocab) -> ShardModel:
     """Rebuild a classifier from a checkpoint plus its label vocabulary."""
-    stream = SHARDS.index(vocab.shard) if vocab.shard in SHARDS else 0
     config, spec, params, rng, trained = _load_trunk_model(
-        path, "cell_classifier", TrainConfig, stream, len(vocab),
+        path, "cell_classifier", TrainConfig, shard_index(vocab.shard), len(vocab),
         shard=vocab.shard, n_classes=len(vocab),
     )
     return ShardModel(config, spec, vocab, params, rng, trained=trained)

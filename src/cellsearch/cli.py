@@ -32,14 +32,7 @@ import numpy as np
 from . import config as cfg
 from .baseline import BoundsModel, bounds_to_cellset, destination_coords, offset_targets
 from .checkpoint import load_baseline, load_model, save_baseline, save_model
-from .datagen import (
-    generate_dataset,
-    load_dataset,
-    read_destinations,
-    read_events,
-    read_listings,
-    write_dataset,
-)
+from .datagen import generate_dataset, load_dataset, read_events, write_dataset
 from .errors import (
     CapacityError,
     CellSearchError,
@@ -132,30 +125,37 @@ def cmd_gen(run: cfg.RunConfig, args) -> int:
     return 0
 
 
+def fit_stack(train_cfg, bounds_cfg, world, train_events):
+    """The stack `train` fits: (pipeline, batches, models, bmodel), the
+    feature pipeline, the training searches encoded by shard, one
+    classifier per shard and the bounds regressor. The negative count is
+    checked against every shard's class count before any model fits."""
+    pipeline = fit_pipeline(train_events, world.destinations)
+    batches = encode_events(train_events, world.destinations, pipeline)
+    vocabs = {shard: build_vocab(shard, batches[shard].booked_cells) for shard in SHARDS}
+    for shard, vocab in vocabs.items():
+        if train_cfg.num_negatives >= len(vocab):
+            raise ConfigError(
+                f"train.num_negatives={train_cfg.num_negatives} must be below the "
+                f"K={len(vocab)} classes of shard {shard}"
+            )
+    models = {}
+    for shard in SHARDS:
+        models[shard] = ShardModel.build(train_cfg, pipeline, vocabs[shard])
+        models[shard].fit(batches[shard])
+    merged = merge_batches([batches[s] for s in SHARDS])
+    bmodel = BoundsModel.build(bounds_cfg, pipeline)
+    bmodel.fit(merged, offset_targets(merged, destination_coords(merged, world.destinations)))
+    return pipeline, batches, models, bmodel
+
+
 def cmd_train(run: cfg.RunConfig, args) -> int:
     """Fits everything before writing anything, so a failed fit leaves no
     partial set of artifacts behind."""
     data_dir = run.require_data()
     world = load_dataset(data_dir)
     train_events = read_events(os.path.join(data_dir, "train_events.tsv"))
-    pipeline = fit_pipeline(train_events, world.destinations)
-    batches = encode_events(train_events, world.destinations, pipeline)
-    vocabs = {shard: build_vocab(shard, batches[shard].booked_cells) for shard in SHARDS}
-    for shard, vocab in vocabs.items():
-        if run.train.num_negatives >= len(vocab):
-            raise ConfigError(
-                f"train.num_negatives={run.train.num_negatives} must be below the "
-                f"K={len(vocab)} classes of shard {shard}"
-            )
-
-    models = {}
-    for shard in SHARDS:
-        models[shard] = ShardModel.build(run.train, pipeline, vocabs[shard])
-        models[shard].fit(batches[shard])
-    merged = merge_batches([batches[s] for s in SHARDS])
-    coords = destination_coords(merged, world.destinations)
-    bmodel = BoundsModel.build(run.bounds, pipeline)
-    bmodel.fit(merged, offset_targets(merged, coords))
+    pipeline, batches, models, bmodel = fit_stack(run.train, run.bounds, world, train_events)
     index = ListingIndex.build(world.listings)
 
     os.makedirs(run.workdir, exist_ok=True)
@@ -271,24 +271,20 @@ def cmd_retrieve(run: cfg.RunConfig, args) -> int:
             raise ConfigError("--cutoff is required unless --rect is given")
         if not 0.0 < args.cutoff <= 1.0:
             raise ConfigError(f"--cutoff must be in (0, 1], got {args.cutoff}")
-    data_dir = run.require_data()
-    destinations = read_destinations(os.path.join(data_dir, "destinations.tsv"))
-    listings = read_listings(os.path.join(data_dir, "listings.tsv"))
-    eval_events = read_events(os.path.join(data_dir, "eval_events.tsv"))
-    event = next((e for e in eval_events if e.search_id == args.event), None)
-    if event is None:
+    world, pipeline, models, bmodel, index, eval_batches = _load_stack(run)
+    for shard, batch in eval_batches.items():
+        rows = np.flatnonzero(batch.search_ids == args.event)
+        if rows.size:
+            break
+    else:
         raise DataError(f"search id {args.event} is not in the eval window")
-    pipeline = load_pipeline(run.require(cfg.PIPELINE_FILE))
-    index, _ = load_index(run.require(cfg.INDEX_FILE), listings)
-    batches = encode_events([event], destinations, pipeline)
-    shard, batch = next((s, b) for s, b in batches.items() if len(b) == 1)
-    guests = int(event.num_guests)
-    print(f"event {event.search_id} shard {shard} dest {event.dest_id} guests {guests}")
+    batch = batch.take(rows)
+    guests = int(batch.num_guests[0])
+    print(f"event {args.event} shard {shard} dest {int(batch.dest_ids[0])} guests {guests}")
 
     limit = max(args.limit, 0)
     if args.rect:
-        bmodel = _load_matching(pipeline, run, cfg.BASELINE_FILE, load_baseline)
-        rect = bmodel.predict_bounds(batch, destination_coords(batch, destinations))[0]
+        rect = bmodel.predict_bounds(batch, destination_coords(batch, world.destinations))[0]
         print(
             f"rect {rect.lat_lo:.6f} {rect.lat_hi:.6f} {rect.lng_lo:.6f} {rect.lng_hi:.6f}"
         )
@@ -298,9 +294,8 @@ def cmd_retrieve(run: cfg.RunConfig, args) -> int:
             print(f"cell {int(cell):016x}")
         ids = index.retrieve_rect(rect, guests)
     else:
-        vocab = load_vocab(run.require(cfg.vocab_file(shard)), shard)
-        model = _load_matching(pipeline, run, cfg.model_file(shard), load_model, vocab)
-        probs = model.predict_probs(batch)[0].astype(np.float64)
+        vocab = models[shard].vocab
+        probs = models[shard].predict_probs(batch)[0].astype(np.float64)
         sel = np.flatnonzero(probs >= args.cutoff)
         order = sel[np.argsort(-probs[sel], kind="stable")]
         print(f"cells {order.size}")

@@ -82,10 +82,10 @@ class GenConfig:
             raise ConfigError(f"outlier_rate {self.outlier_rate} outside [0, 0.5)")
         if not 0.0 <= self.pan_discovery_rate <= 1.0:
             raise ConfigError(f"pan_discovery_rate {self.pan_discovery_rate} invalid")
-        if len(self.continent_mix) != 3 or min(self.continent_mix) < 0:
-            raise ConfigError("continent_mix must be 3 non-negative weights")
-        if sum(self.continent_mix) <= 0:
-            raise ConfigError("continent_mix must have positive total weight")
+        # Every continent needs a destination: a shard without one has no
+        # training searches, and the gap band is engineered in AMER.
+        if len(self.continent_mix) != 3 or not all(0 < w < math.inf for w in self.continent_mix):
+            raise ConfigError(f"continent_mix must be 3 positive weights, got {list(self.continent_mix)}")
 
 
 @dataclass(frozen=True)
@@ -206,9 +206,8 @@ def km_distance(lat1, lng1, lat2, lng2):
 def _assign_continents(cfg: GenConfig, rng) -> list[str]:
     mix = np.asarray(cfg.continent_mix, dtype=np.float64)
     mix = mix / mix.sum()
-    positive = [c for c, w in zip(CONTINENTS, mix) if w > 0]
-    # Guarantee one destination per continent that has any weight at all.
-    out = list(positive)
+    # Guarantee one destination per continent.
+    out = list(CONTINENTS)
     remaining = cfg.n_destinations - len(out)
     out.extend(rng.choice(CONTINENTS, size=remaining, p=mix).tolist())
     return out
@@ -319,10 +318,8 @@ def generate_world(cfg: GenConfig) -> World:
     continents = _assign_continents(cfg, rng)
     centers = _place_centers(continents, rng)
 
-    # The first AMER destination (if any) carries the engineered gap.
-    gap_dest_id = next(
-        (i for i, c in enumerate(continents) if c == "AMER"), None
-    )
+    # The first AMER destination carries the engineered gap.
+    gap_dest_id = continents.index("AMER")
     destinations = [
         _make_destination(i, cont, lat, lng, rng, engineered_gap=(i == gap_dest_id))
         for i, (cont, (lat, lng)) in enumerate(zip(continents, centers))
@@ -358,28 +355,23 @@ def generate_world(cfg: GenConfig) -> World:
         columns.append((lats, lngs, caps, rng.random(n_background) < 0.97))
 
     # Listings inside the engineered dead band: present, never booked.
-    if gap_dest_id is not None:
-        rect = _gap_rect(destinations[gap_dest_id])
-        lats = rng.uniform(rect.lat_lo, rect.lat_hi, gap_listing_count)
-        lngs = rng.uniform(rect.lng_lo, rect.lng_hi, gap_listing_count)
-        caps = _sample_capacity(rng, gap_listing_count)
-        columns.append((lats, lngs, caps, np.ones(gap_listing_count, dtype=bool)))
-        # The band's listings are emitted last, after the n_regular others.
-        gap_ids = tuple(range(n_regular + 1, cfg.n_listings + 1))
-        gap = GapInfo(gap_dest_id, rect, gap_ids)
-    else:
-        gap = GapInfo(-1, GeoRect(0, 0, 0, 0), ())
+    rect = _gap_rect(destinations[gap_dest_id])
+    lats = rng.uniform(rect.lat_lo, rect.lat_hi, gap_listing_count)
+    lngs = rng.uniform(rect.lng_lo, rect.lng_hi, gap_listing_count)
+    caps = _sample_capacity(rng, gap_listing_count)
+    columns.append((lats, lngs, caps, np.ones(gap_listing_count, dtype=bool)))
+    # The band's listings are emitted last, after the n_regular others.
+    gap = GapInfo(gap_dest_id, rect, tuple(range(n_regular + 1, cfg.n_listings + 1)))
     lats, lngs, caps, active = (np.concatenate(col) for col in zip(*columns))
     listings = ListingStore.from_columns(
         np.arange(1, lats.size + 1), lats, lngs, caps, active
     )
 
     popularity = rng.dirichlet(np.full(cfg.n_destinations, 2.0))
-    if gap_dest_id is not None:
-        floor = 2.0 / cfg.n_destinations
-        if popularity[gap_dest_id] < floor:
-            popularity[gap_dest_id] = floor
-            popularity = popularity / popularity.sum()
+    floor = 2.0 / cfg.n_destinations
+    if popularity[gap_dest_id] < floor:
+        popularity[gap_dest_id] = floor
+        popularity = popularity / popularity.sum()
 
     world = World(cfg, destinations, listings, popularity, gap)
     _check_gap_safety(world)
@@ -389,8 +381,6 @@ def generate_world(cfg: GenConfig) -> World:
 def _check_gap_safety(world: World):
     """The booking cutoff must keep every cluster's candidate radius clear
     of the gap band; cheap to verify outright at build time."""
-    if world.gap.dest_id < 0:
-        return
     dest = world.destinations[world.gap.dest_id]
     rect = world.gap.rect
     for cl in dest.clusters:
@@ -580,22 +570,26 @@ def _parse_point(lat_text: str, lng_text: str) -> tuple[float, float]:
 
 
 def _read_tsv(path, fields, parse_row) -> list:
-    """parse_row applied to every row of a record file with the given
-    header. A row with the wrong field count or a field that does not
-    parse raises DataError naming the file and its 1-based line."""
+    """parse_row applied to every row of a UTF-8 record file with the given
+    header. Bytes that are not UTF-8, a row with the wrong field count or a
+    field that does not parse raise DataError naming the file (and, for a
+    row, its 1-based line)."""
     out = []
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if tuple(header) != fields:
-            raise DataError(f"{path}: unexpected header {header}")
-        for lineno, line in enumerate(f, start=2):
-            p = line.rstrip("\n").split("\t")
-            if len(p) != len(fields):
-                raise DataError(f"{path}:{lineno}: expected {len(fields)} fields, got {len(p)}")
-            try:
-                out.append(parse_row(p))
-            except (ValueError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: bad row: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().rstrip("\n").split("\t")
+            if tuple(header) != fields:
+                raise DataError(f"{path}: unexpected header {header}")
+            for lineno, line in enumerate(f, start=2):
+                p = line.rstrip("\n").split("\t")
+                if len(p) != len(fields):
+                    raise DataError(f"{path}:{lineno}: expected {len(fields)} fields, got {len(p)}")
+                try:
+                    out.append(parse_row(p))
+                except (ValueError, DataError) as exc:
+                    raise DataError(f"{path}:{lineno}: bad row: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     return out
 
 
@@ -607,7 +601,7 @@ def write_listings(path, listings: ListingStore):
         listings.capacities.tolist(),
         listings.active.tolist(),
     )
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("\t".join(LISTING_FIELDS) + "\n")
         for lid, lat, lng, capacity, active in rows:
             f.write(f"{lid}\t{repr(lat)}\t{repr(lng)}\t{capacity}\t{_fmt_bool(active)}\n")
@@ -657,7 +651,7 @@ def _parse_clusters(text) -> tuple[Cluster, ...]:
 
 
 def write_destinations(path, destinations):
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("\t".join(DESTINATION_FIELDS) + "\n")
         for d in destinations:
             f.write(
@@ -690,7 +684,7 @@ def read_destinations(path) -> list[Destination]:
 
 
 def write_events(path, events):
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("\t".join(EVENT_FIELDS) + "\n")
         for e in events:
             f.write(
@@ -814,6 +808,8 @@ def load_dataset(data_dir) -> World:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"manifest {path} has a missing or bad field: {exc!r}") from None
     destinations = read_destinations(os.path.join(data_dir, "destinations.tsv"))
+    if gap.dest_id not in {d.dest_id for d in destinations}:
+        raise DataError(f"manifest {path} names gap destination {gap.dest_id}, absent from destinations.tsv")
     listings = read_listings(os.path.join(data_dir, "listings.tsv"))
     absent = np.setdiff1d(np.asarray(gap.listing_ids, dtype=np.int64), listings.ids)
     if absent.size:

@@ -37,7 +37,6 @@ dest_weighted_recall
     view that weights rarely searched destinations equally.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,8 +261,9 @@ def sweep_shard(
 def quantile_threshold(booked_probs, target: float):
     """Exact cutoff whose recall is the smallest achievable value >= target.
 
-    With n searches, recall values are multiples of 1/n; taking the
-    ceil(target * n)-th largest booked-cell probability as the cutoff
+    With n searches, recall values are multiples of 1/n; taking the m-th
+    largest booked-cell probability as the cutoff, for the smallest m with
+    m / n >= target (in the float arithmetic that computes a recall),
     retrieves exactly the searches at or above it, so the achieved recall
     exceeds the target by less than 1/n plus any mass tied at the cutoff.
     Searches whose booked cell is out of vocabulary carry a sentinel of
@@ -277,7 +277,7 @@ def quantile_threshold(booked_probs, target: float):
     if not 0.0 < target <= 1.0:
         raise ConfigError(f"target recall must be in (0, 1], got {target}")
     n = probs.size
-    m = math.ceil(target * n)
+    m = int(np.searchsorted(np.arange(1, n + 1) / n, target)) + 1
     desc = np.sort(probs)[::-1]
     lam = float(desc[m - 1])
     if lam > 0.0:

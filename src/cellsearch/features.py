@@ -110,7 +110,6 @@ class EncodedBatch:
     categorical: np.ndarray  # (N, m) int64 vocab indices
     booked_cells: np.ndarray  # (N,) uint64
     num_guests: np.ndarray
-    is_outlier: np.ndarray
 
     def __len__(self) -> int:
         return self.search_ids.size
@@ -157,7 +156,6 @@ def encode_events(
         categorical.T,
         np.array([e.booked_cell for e in events], dtype=np.uint64),
         np.array([e.num_guests for e in events], dtype=np.int64),
-        np.array([e.is_outlier for e in events], dtype=bool),
     )
     return {s: replace(encoded.take(shard == k), shard=s) for k, s in enumerate(SHARDS)}
 

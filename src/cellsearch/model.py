@@ -143,7 +143,8 @@ def full_loss_and_grads(params, spec, categorical, continuous, targets):
     return loss, grads, logits
 
 
-def _shard_index(shard: str) -> int:
+def shard_index(shard: str) -> int:
+    """The shard's place in SHARDS, which picks its models' seed stream."""
     try:
         return SHARDS.index(shard)
     except ValueError:
@@ -160,7 +161,7 @@ class ShardModel(TrunkModel):
     @classmethod
     def build(cls, config: TrainConfig, pipeline: FeaturePipeline, vocab: LabelVocabulary):
         spec, params, rng = build_trunk_model(
-            config, pipeline, len(vocab), _shard_index(vocab.shard)
+            config, pipeline, len(vocab), shard_index(vocab.shard)
         )
         return cls(config, spec, vocab, params, rng)
 
@@ -255,6 +256,6 @@ class ShardModel(TrunkModel):
         twin.params = clone_params(self.params)
         twin.params["out_w"][:] = 0.0
         twin.params["out_b"][:] = 0.0
-        twin.rng = np.random.default_rng((self.config.seed, _shard_index(self.shard)))
+        twin.rng = np.random.default_rng((self.config.seed, shard_index(self.shard)))
         twin.train_log = list(self.train_log)
         return twin

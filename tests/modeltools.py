@@ -111,7 +111,6 @@ def tiny_batch(model, n, seed=1, targets=None):
         cat,
         model.vocab.classes[y],
         np.ones(n, dtype=np.int64),
-        np.zeros(n, dtype=bool),
     )
     return batch, np.asarray(y)
 

@@ -18,21 +18,13 @@ from modeltools import tiny_batch, tiny_bounds, tiny_model
 from test_baseline import kink_margin, random_inputs
 
 from cellsearch import nn
-from cellsearch.baseline import (
-    BoundsConfig,
-    BoundsModel,
-    bounds_loss_and_grads,
-    destination_coords,
-    offset_targets,
-)
-from cellsearch.cli import main
+from cellsearch.baseline import BoundsConfig, bounds_loss_and_grads
+from cellsearch.cli import fit_stack, main
 from cellsearch.datagen import GenConfig, generate_dataset, generate_world
 from cellsearch.evaluation import run_compare, sweep_shard
-from cellsearch.features import SHARDS, encode_events, fit_pipeline, merge_batches
+from cellsearch.features import SHARDS, encode_events
 from cellsearch.index import ListingIndex
-from cellsearch.labels import build_vocab
 from cellsearch.model import (
-    ShardModel,
     TrainConfig,
     full_loss_and_grads,
     sample_negatives,
@@ -319,7 +311,8 @@ def test_criterion_6_sampled_equals_full():
 
 
 # --------------------------------------------------------------------------
-# Shared end-to-end pipeline at the default scale (criteria 7, 8, 9).
+# Shared end-to-end pipeline at the default scale (criteria 7, 8, 9),
+# fitted by the same function as `cellsearch train`.
 # --------------------------------------------------------------------------
 
 
@@ -327,18 +320,8 @@ def test_criterion_6_sampled_equals_full():
 def e2e():
     t0 = time.monotonic()
     world, train_events, eval_events = generate_dataset(GenConfig())
-    pipeline = fit_pipeline(train_events, world.destinations)
-    train_b = encode_events(train_events, world.destinations, pipeline)
+    pipeline, _, models, bmodel = fit_stack(TrainConfig(), BoundsConfig(), world, train_events)
     eval_b = encode_events(eval_events, world.destinations, pipeline)
-    models = {}
-    for shard in SHARDS:
-        vocab = build_vocab(shard, train_b[shard].booked_cells)
-        model = ShardModel.build(TrainConfig(), pipeline, vocab)
-        model.fit(train_b[shard])
-        models[shard] = model
-    merged = merge_batches(list(train_b.values()))
-    bmodel = BoundsModel.build(BoundsConfig(), pipeline)
-    bmodel.fit(merged, offset_targets(merged, destination_coords(merged, world.destinations)))
     index = ListingIndex.build(world.listings)
     compared = run_compare(models, bmodel, eval_b, world, index)
     pipeline_seconds = time.monotonic() - t0

@@ -7,41 +7,22 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 
 import pytest
+from smallworld import SMALL, SMALL_BOUNDS, SMALL_TRAIN
 
 import cellsearch
 from cellsearch import cli
 from cellsearch.cli import main
 from cellsearch.datagen import load_dataset, read_events
 from cellsearch.errors import DataError
+from cellsearch.evaluation import format_report, run_compare
 from cellsearch.features import SHARDS, encode_events, fit_pipeline
 from cellsearch.labels import build_vocab
 
-CFG = {
-    "data": {
-        "seed": 11,
-        "n_destinations": 8,
-        "n_listings": 2400,
-        "n_train_events": 4000,
-        "n_eval_events": 600,
-    },
-    "train": {
-        "embed_dim": 8,
-        "hidden": [32, 16],
-        "epochs": 2,
-        "batch_size": 32,
-        "num_negatives": 16,
-        "seed": 5,
-    },
-    "bounds": {
-        "embed_dim": 8,
-        "hidden": [32, 16],
-        "epochs": 2,
-        "batch_size": 256,
-        "seed": 5,
-    },
-}
+# The criterion-10 run, the same configs as conftest's `stack`.
+CFG = {"data": asdict(SMALL), "train": asdict(SMALL_TRAIN), "bounds": asdict(SMALL_BOUNDS)}
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +98,18 @@ def test_compare_writes_report(pipeline_dir, capsys):
     assert report.startswith("cellsearch-report 1\n")
     assert "[pooled]" in report
     assert "[gap]" in report
+
+
+def test_compare_report_is_the_library_report(pipeline_dir, stack, capsys):
+    """`compare` on the written artifacts reports exactly what the stack
+    fit_stack fits in memory on the same dataset reports: float32
+    checkpoints, postings.idx and the dataset TSVs lose nothing."""
+    base, cfg_path, workdir = pipeline_dir
+    assert main(["compare", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    world, pipeline, eval_batches, models, bmodel, index = stack
+    report = format_report(run_compare(models, bmodel, eval_batches, world, index))
+    assert (workdir / "report.txt").read_bytes() == report.encode()
 
 
 def test_retrieve_classifier_mode(pipeline_dir, capsys):
@@ -391,6 +384,10 @@ def _set_json(value, *keys):
         ("data/eval_events.tsv", _set_row_field(1, 3, "0")),
         ("data/eval_events.tsv", _set_row_field(1, 9, "-5")),
         ("data/destinations.tsv", _set_row_field(1, 6, "XX")),
+        ("data/listings.tsv", _overwrite_with_binary),
+        ("data/destinations.tsv", _overwrite_with_binary),
+        ("data/eval_events.tsv", _overwrite_with_binary),
+        ("data/manifest.json", _set_json(999, "gap_dest_id")),
     ],
     ids=[
         "vocab-garbled",
@@ -412,6 +409,10 @@ def _set_json(value, *keys):
         "eval-events-zero-guests",
         "eval-events-negative-cell",
         "destinations-unknown-continent",
+        "listings-binary",
+        "destinations-binary",
+        "eval-events-binary",
+        "manifest-unknown-gap-destination",
     ],
 )
 def test_damaged_artifact_is_a_data_error(pipeline_dir, tmp_path, name, garble):

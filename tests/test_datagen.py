@@ -116,17 +116,12 @@ def test_every_positive_continent_present(small_dataset):
 
 
 def test_degenerate_continent_mix():
-    cfg = GenConfig(
-        seed=5,
-        n_destinations=4,
-        n_listings=1000,
-        n_train_events=10,
-        n_eval_events=10,
-        continent_mix=(1.0, 0.0, 0.0),
-    )
-    world = generate_world(cfg)
-    assert all(d.continent == "EU" for d in world.destinations)
-    assert world.gap.dest_id == -1  # no AMER destination to engineer
+    # A continent without weight would get no destination: its shard has no
+    # training searches, and without AMER there is no gap band.
+    nan, inf = float("nan"), float("inf")
+    for mix in ((1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, nan, 1.0), (1.0, inf, 1.0)):
+        with pytest.raises(ConfigError, match="continent_mix must be 3 positive weights"):
+            GenConfig(continent_mix=mix)
 
 
 def test_multi_cluster_mixture_share():

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cellsearch.baseline import BoundsConfig, BoundsModel, bounds_to_cellset, destination_coords, offset_targets
+from cellsearch.baseline import bounds_to_cellset, destination_coords
 from cellsearch.errors import ConfigError, DataError
 from cellsearch.evaluation import (
     FULL_SCALE_REFERENCE_LAMBDAS,
@@ -17,46 +17,12 @@ from cellsearch.evaluation import (
     quantile_threshold,
     run_compare,
     sweep_csv_text,
-    sweep_rows,
     sweep_shard,
     write_report,
     write_sweep_csv,
 )
-from cellsearch.features import SHARDS, encode_events, fit_pipeline, merge_batches
-from cellsearch.index import ListingIndex
-from cellsearch.labels import build_vocab
-from cellsearch.model import ShardModel, TrainConfig
+from cellsearch.features import SHARDS
 from cellsearch.svg import sweep_svg_text, write_sweep_svg
-
-TINY_TRAIN = TrainConfig(
-    embed_dim=8,
-    hidden=(32, 16),
-    epochs=2,
-    batch_size=32,
-    num_negatives=16,
-    seed=5,
-)
-TINY_BOUNDS = BoundsConfig(embed_dim=8, hidden=(32, 16), epochs=2, batch_size=256, seed=5)
-
-
-@pytest.fixture(scope="module")
-def stack(small_dataset):
-    world, train_events, eval_events = small_dataset
-    pipeline = fit_pipeline(train_events, world.destinations)
-    train_batches = encode_events(train_events, world.destinations, pipeline)
-    eval_batches = encode_events(eval_events, world.destinations, pipeline)
-    models = {}
-    for shard in SHARDS:
-        vocab = build_vocab(shard, train_batches[shard].booked_cells)
-        model = ShardModel.build(TINY_TRAIN, pipeline, vocab)
-        model.fit(train_batches[shard])
-        models[shard] = model
-    bmodel = BoundsModel.build(TINY_BOUNDS, pipeline)
-    merged = merge_batches([train_batches[s] for s in SHARDS])
-    coords = destination_coords(merged, world.destinations)
-    bmodel.fit(merged, offset_targets(merged, coords))
-    index = ListingIndex.build(world.listings)
-    return world, pipeline, eval_batches, models, bmodel, index
 
 
 def test_lambda_grid_is_log_spaced():
@@ -167,6 +133,11 @@ def test_quantile_threshold_exact():
     assert (probs >= lam).mean() == 0.4
     lam, warned = quantile_threshold(probs, 0.5)
     assert lam == 0.7 and not warned
+    # 0.07 * 100 is 7.000000000000001 in floats; the cutoff still retrieves
+    # 7 of 100 searches, the smallest count whose recall reaches 0.07.
+    hundred = np.linspace(0.99, 0.01, 100)
+    lam, warned = quantile_threshold(hundred, 0.07)
+    assert (hundred >= lam).sum() == 7 and not warned
     # Unreachable because of sentinel values: falls back to the smallest
     # reachable probability.
     probs = np.array([0.9, 0.4, -1.0, -1.0])
