@@ -58,33 +58,34 @@ print("recall non-increasing along the grid:",
 # 3. Artifacts: a CSV of every (shard, cutoff) row and one chart per
 # shard. The chart embeds its own rows, so a chart can be diffed exactly
 # like the CSV. Both are byte-stable across reruns.
-out = pathlib.Path(tempfile.mkdtemp(prefix="sweepdemo_"))
-results = {s: sweep_shard(models[s], eval_batches[s], index) for s in SHARDS}
-write_sweep_csv(out / "sweep.csv", [results[s] for s in SHARDS])
-for s in SHARDS:
-    write_sweep_svg(out / f"sweep_{s}.svg", results[s])
-print(f"\nwrote {out / 'sweep.csv'} and three charts")
-print("csv head:")
-for line in (out / "sweep.csv").read_text().splitlines()[:3]:
-    print(" ", line)
+with tempfile.TemporaryDirectory(prefix="sweepdemo_") as tmp:
+    out = pathlib.Path(tmp)
+    results = {s: sweep_shard(models[s], eval_batches[s], index) for s in SHARDS}
+    write_sweep_csv(out / "sweep.csv", [results[s] for s in SHARDS])
+    for s in SHARDS:
+        write_sweep_svg(out / f"sweep_{s}.svg", results[s])
+    print(f"\nwrote {out / 'sweep.csv'} and three charts")
+    print("csv head:")
+    for line in (out / "sweep.csv").read_text().splitlines()[:3]:
+        print(" ", line)
 
-# 4. The comparison. Per shard, the baseline rectangles set the recall
-# target; the classifier cutoff is chosen to match it, and the report
-# contrasts precision and cost at that operating point. The gap section
-# counts retrieved listings inside the never-booked band, where the
-# rectangles keep paying and the cell model does not.
-cmp = run_compare(models, bmodel, eval_batches, world, index)
-for sc in cmp.shards:
-    print(f"\n[{sc.shard}] recall delta {sc.delta_recall:+.4f} "
-          f"at cutoff {sc.matched_lambda:.3g}")
-    print(f"  precision_dest cell {sc.cell.precision_dest:.4f} "
-          f"vs rect {sc.baseline.precision_dest:.4f}")
-    print(f"  mean listings cell {sc.cell.mean_retrieved:.1f} "
-          f"vs rect {sc.baseline.mean_retrieved:.1f}")
-print(f"\ngap band: cell {cmp.gap.cell_retrieved_total:.0f} vs "
-      f"rect {cmp.gap.rect_retrieved_total:.0f} retrieved listings")
+    # 4. The comparison. Per shard, the baseline rectangles set the recall
+    # target; the classifier cutoff is chosen to match it, and the report
+    # contrasts precision and cost at that operating point. The gap section
+    # counts retrieved listings inside the never-booked band, where the
+    # rectangles keep paying and the cell model does not.
+    cmp = run_compare(models, bmodel, eval_batches, world, index)
+    for sc in cmp.shards:
+        print(f"\n[{sc.shard}] recall delta {sc.delta_recall:+.4f} "
+              f"at cutoff {sc.matched_lambda:.3g}")
+        print(f"  precision_dest cell {sc.cell.precision_dest:.4f} "
+              f"vs rect {sc.baseline.precision_dest:.4f}")
+        print(f"  mean listings cell {sc.cell.mean_retrieved:.1f} "
+              f"vs rect {sc.baseline.mean_retrieved:.1f}")
+    print(f"\ngap band: cell {cmp.gap.cell_retrieved_total:.0f} vs "
+          f"rect {cmp.gap.rect_retrieved_total:.0f} retrieved listings")
 
-report = format_report(cmp)
-(out / "report.txt").write_text(report)
-print(f"report written to {out / 'report.txt'} "
-      f"({len(report.splitlines())} lines)")
+    report = format_report(cmp)
+    (out / "report.txt").write_text(report)
+    print(f"report written to {out / 'report.txt'} "
+          f"({len(report.splitlines())} lines)")

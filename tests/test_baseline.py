@@ -1,8 +1,6 @@
 """Bounds-regressor tests: gradients against finite differences, loss
 decomposition, hinge-driven box growth, and rect construction."""
 
-import math
-
 import numpy as np
 import pytest
 from modeltools import tiny_batch, tiny_bounds, tiny_model

@@ -26,7 +26,7 @@ from cellsearch.s2geom import (
     cover_rects_raw,
     num_cells_at_level,
 )
-from cellsearch.s2geom import hilbert, transforms
+from cellsearch.s2geom import hilbert, region, transforms
 from cellsearch.s2geom.region import rect_intersects_cell, rect_intersects_cells
 
 RECT_BATTERY = [
@@ -224,7 +224,9 @@ def _plain_refinement(rect, level):
 
 def test_interior_ranges_match_plain_refinement_at_retrieval_level():
     # Rects of the size the bounds regressor predicts (about a thousand
-    # level-11 cells), some wrapping the antimeridian and some polar.
+    # level-11 cells), some wrapping the antimeridian and some polar,
+    # then some straddling face edges and cube corners, where a lone
+    # rect's covering cannot start from a seeded block.
     rng = np.random.default_rng(43)
     rects = []
     for k in range(30):
@@ -235,21 +237,60 @@ def test_interior_ranges_match_plain_refinement_at_retrieval_level():
         if k % 5 == 2:
             lat = rng.choice([-1.0, 1.0]) * rng.uniform(86.0, 89.9)
         rects.append(GeoRect.from_center(lat, lng, rng.uniform(0.4, 1.2), rng.uniform(0.4, 1.2)))
+    corner_lat = math.degrees(math.atan(1.0 / math.sqrt(2.0)))  # 35.26
+    for lat, lng in [(corner_lat, 45.0), (-corner_lat, -135.0), (corner_lat, 135.0),
+                     (-corner_lat, -45.0), (0.0, 45.0), (45.0, 0.0), (-45.0, 90.0)]:
+        rects.append(GeoRect.from_center(lat, lng, 0.6, 0.8))
+    # Edges on the equator and the prime meridian, which are cell edges at
+    # every level: the closed cells beyond them lie in the seeded block's
+    # ring, so the covering falls back to the faces.
+    rects.append(GeoRect(0.0, 0.8, 0.0, 1.1))
     assert any(r.lng_lo > r.lng_hi for r in rects)
     assert any(r.lat_hi == 90.0 or r.lat_lo == -90.0 for r in rects)
+    seeded = [region._seed_start(r, 11) is not None for r in rects]
+    assert any(seeded) and not all(seeded)
     got = cover_rects_raw(rects, 11)
     for rect, cells in zip(rects, got):
-        np.testing.assert_array_equal(cells, _plain_refinement(rect, 11), err_msg=str(rect))
+        want = _plain_refinement(rect, 11)
+        np.testing.assert_array_equal(cells, want, err_msg=str(rect))
+        np.testing.assert_array_equal(cover_rect_raw(rect, 11), want, err_msg=str(rect))
+
+
+def test_ring_hit_falls_back_to_the_face_start(monkeypatch):
+    # A wider block starts at a finer level, so its one-cell ring is
+    # thinner. At width 64 this rect seeds at level 8, and the arc of its
+    # lower latitude edge, which reaches past its corners, hits the ring.
+    rect = GeoRect(55, 60, -10, 10)
+    monkeypatch.setattr(region, "_SEED_SPAN", 64)
+    ring_hit = []
+    refine = region._refine
+
+    def spy(*args):
+        cells = refine(*args)
+        ring_hit.append(cells is None)
+        return cells
+
+    monkeypatch.setattr(region, "_refine", spy)
+    got = cover_rect_raw(rect, 8)
+    assert ring_hit == [True, False]
+    np.testing.assert_array_equal(got, cover_rects_raw([rect], 8)[0])
+    np.testing.assert_array_equal(got, _plain_refinement(rect, 8))
 
 
 def test_cap_counts_interior_ranges():
-    # At level 8 this rect covers 3,759 cells, nearly all of them
-    # below interior cells of coarser levels.
-    rect = GeoRect(10, 25, 30, 55)
-    size = cover_rect_raw(rect, 8, cap=10**6).size
-    assert cover_rect_raw(rect, 8, cap=size).size == size
-    with pytest.raises(CapacityError):
-        cover_rect_raw(rect, 8, cap=size - 1)
+    cases = [
+        # At level 8 this rect covers 3,759 cells, nearly all of them
+        # below interior cells of coarser levels; it spans two faces.
+        (GeoRect(10, 25, 30, 55), 8, False),
+        # A served-size rect, covered from a seeded block.
+        (GeoRect.from_center(48.85, 2.35, 0.5, 0.7), 11, True),
+    ]
+    for rect, level, seeds in cases:
+        assert (region._seed_start(rect, level) is not None) == seeds
+        size = cover_rect_raw(rect, level, cap=10**6).size
+        assert cover_rect_raw(rect, level, cap=size).size == size
+        with pytest.raises(CapacityError):
+            cover_rect_raw(rect, level, cap=size - 1)
 
 
 def test_cap_applies_to_each_rect_of_a_batch():

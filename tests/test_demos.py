@@ -1,4 +1,5 @@
-"""Every demo script runs to completion: exit 0, no traceback."""
+"""Every demo script runs to completion: exit 0, no traceback, and nothing
+left behind in the temporary directory."""
 
 import glob
 import os
@@ -18,10 +19,15 @@ def test_all_six_demos_are_found():
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
-def test_demo_runs(path):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cellsearch.__file__)))
+def test_demo_runs(path, tmp_path):
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(cellsearch.__file__)),
+        TMPDIR=str(tmp_path),
+    )
     proc = subprocess.run(
         [sys.executable, path], capture_output=True, text=True, env=env, cwd=REPO, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []

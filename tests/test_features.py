@@ -6,7 +6,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from smallworld import SMALL
 
 from cellsearch.datagen import Destination, SearchEvent
 from cellsearch.errors import DataError

@@ -1,0 +1,53 @@
+"""No module imports a name it never uses.
+
+An AST scan of the package, the tests and the demos: every name an import
+binds must be referenced somewhere in the same file. Package `__init__.py`
+files are skipped, since their imports are re-exports, and so are
+`__future__` imports.
+"""
+
+import ast
+import glob
+import os
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SOURCES = sorted(
+    path
+    for tree in ("src", "tests", "demos")
+    for path in glob.glob(os.path.join(REPO, tree, "**", "*.py"), recursive=True)
+    if os.path.basename(path) != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every name bound by an import and never referenced."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_sources_are_found():
+    assert any(p.endswith(os.path.join("s2geom", "region.py")) for p in SOURCES)
+    assert any(p.endswith("test_imports.py") for p in SOURCES)
+    assert any(p.endswith("06_sweep_and_compare.py") for p in SOURCES)
+
+
+def test_scan_flags_an_unused_import():
+    assert unused_imports("import math\nimport os.path\nfrom a import b as c\nos.sep\n") == [
+        (1, "math"),
+        (3, "c"),
+    ]
+
+
+def test_no_unused_imports():
+    found = []
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as f:
+            found += [f"{os.path.relpath(path, REPO)}:{line} {name}" for line, name in unused_imports(f.read())]
+    assert found == []

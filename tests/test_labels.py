@@ -3,7 +3,6 @@ coverage accounting, persistence."""
 
 import numpy as np
 import pytest
-from smallworld import SMALL
 
 from cellsearch.errors import DataError
 from cellsearch.features import encode_events, fit_pipeline
