@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -396,64 +397,96 @@ def _check_gap_safety(world: World):
             )
 
 
+# Booking distances are computed over draws x candidates blocks of about this
+# many elements (128 KiB per float64 temporary). On the benchmark's seed-1
+# and seed-7 logs, blocks of 2**17 elements took 3-12% longer.
+_BOOKING_BLOCK = 1 << 14
+
+
 class _BookingSampler:
-    """Per-cluster candidate listings (active, within the booking cutoff),
-    in store row order. The order decides which of two equally near
-    listings is booked (argmin takes the first), so it must not change."""
+    """Per-cluster candidate listings (active, outside the gap band, within
+    the booking cutoff of the cluster center), in store row order, and the
+    outlier pools.
+
+    A non-outlier search books the candidate nearest its drawn point among
+    those that seat its party; `book` finds it for a whole group of draws
+    at once. The row order decides which of two equally near listings is
+    booked (argmin takes the first, so the lowest row wins), so it must not
+    change."""
 
     def __init__(self, world: World):
-        self.world = world
         store = world.listings
         lats, lngs, caps = store.lats, store.lngs, store.capacities
-        rows = np.arange(len(store))
         bookable = store.active & ~np.isin(store.ids, world.gap.listing_ids)
 
-        self.cluster_candidates: dict[tuple[int, int], dict] = {}
+        # (dest_id, cluster) -> (rows, lats, lngs, capacities) of its candidates.
+        self.candidates: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+        self.max_cap: dict[tuple[int, int], int] = {}
         for dest in world.destinations:
             for ci, cl in enumerate(dest.clusters):
-                d = km_distance(cl.lat, cl.lng, lats, lngs)
-                sel = (d <= BOOKING_CUTOFF_SPREADS * cl.spread_km) & bookable
-                idx = rows[sel]
+                cutoff = BOOKING_CUTOFF_SPREADS * cl.spread_km
+                # The latitude term of km_distance alone bounds the distance
+                # from below (hypot(dx, dy) >= |dy|), so this band holds every
+                # row within the cutoff, in row order.
+                near = np.flatnonzero(np.abs((lats - cl.lat) * KM_PER_DEG) <= cutoff)
+                d = km_distance(cl.lat, cl.lng, lats[near], lngs[near])
+                idx = near[(d <= cutoff) & bookable[near]]
                 if idx.size == 0:
                     raise DataError(
                         f"no bookable listings near cluster {ci} of "
                         f"destination {dest.dest_id}"
                     )
-                self.cluster_candidates[(dest.dest_id, ci)] = {
-                    "idx": idx,
-                    "lat": lats[sel],
-                    "lng": lngs[sel],
-                    "cap": caps[sel],
-                    "max_cap": int(caps[sel].max()),
-                }
+                self.candidates[(dest.dest_id, ci)] = (idx, lats[idx], lngs[idx], caps[idx])
+                self.max_cap[(dest.dest_id, ci)] = int(caps[idx].max())
 
         # Outlier pool: every active listing outside the gap band, split by
         # minimum capacity.
-        pool = rows[bookable]
+        pool = np.flatnonzero(bookable)
         pool_caps = caps[bookable]
         self.outlier_by_guests = [
             pool[pool_caps >= g] for g in range(MAX_CAPACITY + 1)
         ]
 
-    def nearest_bookable(self, dest_id, ci, lat, lng, guests):
-        cand = self.cluster_candidates[(dest_id, ci)]
-        guests = min(guests, cand["max_cap"])
-        ok = cand["cap"] >= guests
-        d = km_distance(lat, lng, cand["lat"][ok], cand["lng"][ok])
-        k = int(np.argmin(d))  # argmin takes the lowest index on ties
-        return int(cand["idx"][ok][k]), guests
+    def book(self, dest_id, ci, party, lats, lngs) -> np.ndarray:
+        """Store rows booked by the draws at (lats, lngs): for each, the
+        candidate of cluster ci of dest_id nearest the draw among those
+        seating the party, the lowest row on ties. The party must not
+        exceed the cluster's largest capacity (`max_cap`)."""
+        idx, c_lat, c_lng, c_cap = self.candidates[(dest_id, ci)]
+        ok = c_cap >= party
+        idx, c_lat, c_lng = idx[ok], c_lat[ok], c_lng[ok]
+        step = max(1, _BOOKING_BLOCK // idx.size)
+        nearest = np.empty(lats.size, dtype=np.int64)
+        for s in range(0, lats.size, step):
+            # One C-contiguous block of draws x candidates, each row the
+            # distances km_distance gives for that draw alone.
+            d = km_distance(lats[s:s + step, None], lngs[s:s + step, None], c_lat, c_lng)
+            nearest[s:s + step] = np.argmin(d, axis=1)
+        return idx[nearest]
 
 
 def generate_search_log(
     world: World, n_events: int, start_id: int, rng
 ) -> list[SearchEvent]:
-    """Sample search events with booked locations from the cluster mixture."""
+    """Sample search events with booked locations from the cluster mixture.
+
+    The loop draws every event's random numbers one event at a time, in a
+    fixed order: that order decides the output bytes, so it stays a loop.
+    A non-outlier search only records its draw there (destination, cluster,
+    party clamped to the cluster's largest capacity, point). After the loop
+    one booking pass resolves each (destination, cluster, party) group with
+    `_BookingSampler.book`: the nearest candidate that seats the party, the
+    lowest store row on ties."""
     cfg = world.config
     sampler = _BookingSampler(world)
     dest_ids = rng.choice(
         len(world.destinations), size=n_events, p=world.popularity
     )
-    events: list[SearchEvent] = []
+    rows = np.empty(n_events, dtype=np.int64)
+    draw_lats = np.empty(n_events)
+    draw_lngs = np.empty(n_events)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    drawn = []
     for i in range(n_events):
         dest = world.destinations[int(dest_ids[i])]
         guests = 1 + int(min(rng.binomial(MAX_GUESTS - 1, 0.18), MAX_GUESTS - 1))
@@ -464,10 +497,8 @@ def generate_search_log(
             device = "ios_app" if rng.random() < 0.6 else "android_app"
         else:
             device = "desktop_web" if rng.random() < 0.8 else "mobile_web"
-        if rng.random() < 0.7:
-            origin = str(rng.choice(COUNTRY_POOLS[dest.continent]))
-        else:
-            origin = str(rng.choice(ALL_COUNTRIES))
+        countries = COUNTRY_POOLS[dest.continent] if rng.random() < 0.7 else ALL_COUNTRIES
+        origin = countries[int(rng.integers(len(countries)))]
 
         is_outlier = bool(rng.random() < cfg.outlier_rate)
         if is_outlier:
@@ -475,7 +506,7 @@ def generate_search_log(
             if pool.size == 0:
                 guests = 1
                 pool = sampler.outlier_by_guests[1]
-            row = int(pool[int(rng.integers(pool.size))])
+            rows[i] = pool[int(rng.integers(pool.size))]
         else:
             n_cl = len(dest.clusters)
             if n_cl > 1 and rng.random() < cfg.pan_discovery_rate:
@@ -484,33 +515,27 @@ def generate_search_log(
             else:
                 ci = 0
             cl = dest.clusters[ci]
-            lat = float(rng.normal(cl.lat, cl.spread_km / KM_PER_DEG))
-            lng = float(
-                rng.normal(
-                    cl.lng,
-                    cl.spread_km / (KM_PER_DEG * math.cos(math.radians(cl.lat))),
-                )
+            draw_lats[i] = rng.normal(cl.lat, cl.spread_km / KM_PER_DEG)
+            draw_lngs[i] = rng.normal(
+                cl.lng,
+                cl.spread_km / (KM_PER_DEG * math.cos(math.radians(cl.lat))),
             )
-            row, guests = sampler.nearest_bookable(
-                dest.dest_id, ci, lat, lng, guests
-            )
+            guests = min(guests, sampler.max_cap[(dest.dest_id, ci)])
+            groups.setdefault((dest.dest_id, ci, guests), []).append(i)
+        drawn.append((dest.dest_id, origin, guests, mobile, device, nights, is_weekend, is_outlier))
 
-        events.append(
-            SearchEvent(
-                search_id=start_id + i,
-                dest_id=dest.dest_id,
-                origin_country=origin,
-                num_guests=guests,
-                is_mobile_app=mobile,
-                device_type=device,
-                trip_length_nights=nights,
-                is_weekend=is_weekend,
-                booked_listing_id=int(world.listings.ids[row]),
-                booked_cell=int(world.listings.cells[row]),
-                is_outlier=is_outlier,
-            )
-        )
-    return events
+    for (dest_id, ci, party), members in groups.items():
+        members = np.asarray(members)
+        rows[members] = sampler.book(dest_id, ci, party, draw_lats[members], draw_lngs[members])
+
+    ids = world.listings.ids[rows].tolist()
+    cells = world.listings.cells[rows].tolist()
+    return [
+        SearchEvent(start_id + i, dest_id, origin, guests, mobile, device, nights,
+                    is_weekend, ids[i], cells[i], is_outlier)
+        for i, (dest_id, origin, guests, mobile, device, nights, is_weekend, is_outlier)
+        in enumerate(drawn)
+    ]
 
 
 def generate_dataset(cfg: GenConfig):
@@ -607,11 +632,9 @@ def write_listings(path, listings: ListingStore):
             f.write(f"{lid}\t{repr(lat)}\t{repr(lng)}\t{capacity}\t{_fmt_bool(active)}\n")
 
 
-def read_listings(path) -> ListingStore:
-    """The listing store of a listings file. A point off the sphere, a
-    capacity below 1, a number beyond 64 bits, an active flag other than
-    0 or 1 or a repeated listing id is a DataError naming the file and
-    line."""
+def _listing_row_parser():
+    """The row parser of a listings file: it defines a valid row and words
+    the error for a bad one."""
     seen = set()
 
     def parse(p):
@@ -628,8 +651,72 @@ def read_listings(path) -> ListingStore:
             raise DataError(f"active {p[4]!r} is not 0 or 1")
         return lid, lat, lng, capacity, p[4] == "1"
 
-    rows = _read_tsv(path, LISTING_FIELDS, parse)
-    columns = zip(*rows) if rows else [()] * len(LISTING_FIELDS)
+    return parse
+
+
+# An active flag longer than one character is cut to two, which is still
+# neither "0" nor "1".
+_LISTING_DTYPE = np.dtype(list(zip(LISTING_FIELDS, (np.int64, np.float64, np.float64, np.int64, "U2"))))
+
+
+def _listing_columns(path):
+    """(ids, lats, lngs, capacities, active) of a listings file, parsed by
+    column and checked with array masks, or None unless every row passes
+    the row parser's checks in a spelling numpy parses (int() and float()
+    also take forms such as 1_000)."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            if tuple(f.readline().rstrip("\n").split("\t")) != LISTING_FIELDS:
+                return None
+            text = f.read()
+    except UnicodeDecodeError:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the newline ending the last row
+    # numpy skips empty lines and ends a string at a NUL; both make a bad row.
+    if "" in lines or "\x00" in text:
+        return None
+    if not lines:
+        return [()] * len(LISTING_FIELDS)
+    try:
+        # numpy versions that read an integer field written as a float
+        # ("2.5", "5.0", "1e3") by truncating it only warn that this is
+        # deprecated; as an error the warning refuses the file.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rec = np.loadtxt(lines, dtype=_LISTING_DTYPE, delimiter="\t", comments=None, quotechar=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+    ids, lats, lngs, capacities, active = (rec[name] for name in LISTING_FIELDS)
+    ok = (
+        # -2**63 fits in int64, but the row parser wants |id| below 2**63.
+        (ids != np.iinfo(np.int64).min)
+        & (np.abs(lats) <= 90.0)
+        & (np.abs(lngs) <= 180.0)
+        & (capacities >= 1)
+        & ((active == "0") | (active == "1"))
+    )
+    ordered = np.sort(ids)
+    if not ok.all() or (ordered[1:] == ordered[:-1]).any():
+        return None
+    return ids, lats, lngs, capacities, active == "1"
+
+
+def read_listings(path) -> ListingStore:
+    """The listing store of a listings file. A point off the sphere, a
+    capacity below 1, a number beyond 64 bits, an active flag other than
+    0 or 1 or a repeated listing id is a DataError naming the file and
+    line.
+
+    The rows are parsed by column. A file the columns refuse is read again
+    row by row: the row parser then raises the DataError for the first bad
+    line (or the header, or a byte that is not UTF-8), or reads rows
+    written in spellings only int() and float() take."""
+    columns = _listing_columns(path)
+    if columns is None:
+        rows = _read_tsv(path, LISTING_FIELDS, _listing_row_parser())
+        columns = zip(*rows) if rows else [()] * len(LISTING_FIELDS)
     return ListingStore.from_columns(*columns)
 
 
@@ -811,7 +898,8 @@ def load_dataset(data_dir) -> World:
     if gap.dest_id not in {d.dest_id for d in destinations}:
         raise DataError(f"manifest {path} names gap destination {gap.dest_id}, absent from destinations.tsv")
     listings = read_listings(os.path.join(data_dir, "listings.tsv"))
-    absent = np.setdiff1d(np.asarray(gap.listing_ids, dtype=np.int64), listings.ids)
+    band = np.asarray(gap.listing_ids, dtype=np.int64)
+    absent = band[~np.isin(band, listings.ids)]
     if absent.size:
-        raise DataError(f"manifest {path} names band listing {absent[0]}, absent from listings.tsv")
+        raise DataError(f"manifest {path} names band listing {absent.min()}, absent from listings.tsv")
     return World(cfg, destinations, listings, popularity, gap)

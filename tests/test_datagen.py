@@ -3,13 +3,18 @@ record-file round trips."""
 
 import json
 import os
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cellsearch.datagen import (
     BOOKING_CUTOFF_SPREADS,
+    KM_PER_DEG,
     GenConfig,
+    ListingStore,
+    _BookingSampler,
     generate_dataset,
     generate_search_log,
     generate_world,
@@ -93,6 +98,73 @@ def test_non_outlier_bookings_near_cluster(small_dataset):
         )
         limit = max(BOOKING_CUTOFF_SPREADS * c.spread_km for c in dest.clusters)
         assert d <= limit + 1e-6
+
+
+def _book_one_at_a_time(sampler, dest_id, ci, party, lats, lngs):
+    """The booking rule for one point at a time: the first candidate, in
+    store row order, nearest the point among those seating the party."""
+    idx, c_lat, c_lng, c_cap = sampler.candidates[(dest_id, ci)]
+    ok = c_cap >= party
+    return np.array([idx[ok][np.argmin(km_distance(lat, lng, c_lat[ok], c_lng[ok]))] for lat, lng in zip(lats, lngs)])
+
+
+def test_booking_candidates_are_the_bookable_listings_within_the_cutoff(small_dataset):
+    world = small_dataset[0]
+    store = world.listings
+    sampler = _BookingSampler(world)
+    bookable = store.active & ~np.isin(store.ids, world.gap.listing_ids)
+    for dest in world.destinations:
+        for ci, cl in enumerate(dest.clusters):
+            d = km_distance(cl.lat, cl.lng, store.lats, store.lngs)
+            within = np.flatnonzero((d <= BOOKING_CUTOFF_SPREADS * cl.spread_km) & bookable)
+            np.testing.assert_array_equal(sampler.candidates[(dest.dest_id, ci)][0], within)
+
+
+def test_booking_pass_matches_booking_one_point_at_a_time(small_dataset):
+    world = small_dataset[0]
+    sampler = _BookingSampler(world)
+    rng = np.random.default_rng(0)
+    for dest in world.destinations:
+        for ci, cl in enumerate(dest.clusters):
+            top = sampler.max_cap[(dest.dest_id, ci)]
+            lats = rng.normal(cl.lat, cl.spread_km / KM_PER_DEG, 300)
+            lngs = rng.normal(cl.lng, cl.spread_km / (KM_PER_DEG * np.cos(np.radians(cl.lat))), 300)
+            for party in sorted({1, min(3, top), top}):
+                np.testing.assert_array_equal(
+                    sampler.book(dest.dest_id, ci, party, lats, lngs),
+                    _book_one_at_a_time(sampler, dest.dest_id, ci, party, lats, lngs),
+                )
+
+
+def test_booking_pass_books_the_lower_row_of_two_at_one_point(small_dataset):
+    world = small_dataset[0]
+    sampler = _BookingSampler(world)
+    key = (world.gap.dest_id, 0)
+    idx, c_lat, c_lng, c_cap = (a.copy() for a in sampler.candidates[key])
+    # Candidates 3 and 7 stand at one point and seat any party.
+    c_lat[7], c_lng[7] = c_lat[3], c_lng[3]
+    c_cap[[3, 7]] = sampler.max_cap[key]
+    sampler.candidates[key] = idx, c_lat, c_lng, c_cap
+    lats = np.array([c_lat[3], c_lat[3] + 1e-9, c_lat[0]])
+    lngs = np.array([c_lng[3], c_lng[3] - 1e-9, c_lng[0]])
+    for party in (1, sampler.max_cap[key]):
+        booked = sampler.book(*key, party, lats, lngs)
+        assert booked[0] == booked[1] == idx[3] < idx[7]
+        np.testing.assert_array_equal(booked, _book_one_at_a_time(sampler, *key, party, lats, lngs))
+
+
+def test_search_log_clamps_the_party_to_the_clusters_largest_capacity(small_dataset):
+    world = small_dataset[0]
+    store = world.listings
+    # Every listing seats at most 2, so most drawn parties exceed every
+    # cluster's largest capacity.
+    low = replace(world, listings=ListingStore.from_columns(
+        store.ids, store.lats, store.lngs, np.minimum(store.capacities, 2), store.active))
+    events = generate_search_log(low, 2000, 0, np.random.default_rng(5))
+    guests = np.array([e.num_guests for e in events if not e.is_outlier])
+    rows = listing_rows(low, [e.booked_listing_id for e in events if not e.is_outlier])
+    assert (guests <= low.listings.capacities[rows]).all()
+    assert set(guests) == {1, 2}
 
 
 def test_outlier_fraction_close_to_rate():
@@ -199,10 +271,14 @@ def test_listing_rows_are_sorted_by_id_on_read(tmp_path, small_dataset):
 
 
 def _set_field(path, lineno, field, value):
-    """Set one tab-separated field of the 1-based line `lineno` of a file."""
+    """Set one tab-separated field of the 1-based line `lineno` of a file,
+    or drop it if value is None."""
     lines = path.read_text().splitlines(keepends=True)
     fields = lines[lineno - 1].rstrip("\n").split("\t")
-    fields[field] = value
+    if value is None:
+        del fields[field]
+    else:
+        fields[field] = value
     lines[lineno - 1] = "\t".join(fields) + "\n"
     path.write_text("".join(lines))
 
@@ -210,16 +286,25 @@ def _set_field(path, lineno, field, value):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        (1, "nan", "not a point on the sphere"),
-        (1, "95.0", "not a point on the sphere"),
-        (2, "-inf", "not a point on the sphere"),
-        (2, "180.5", "not a point on the sphere"),
-        (3, "0", "capacity 0 is below 1"),
-        (0, "4", "listing id 4 repeats"),
-        (0, str(2**64), "does not fit in 64 bits"),
-        (4, "2", "active '2' is not 0 or 1"),
+        (1, "nan", "bad row: .*not a point on the sphere"),
+        (1, "95.0", "bad row: .*not a point on the sphere"),
+        (2, "-inf", "bad row: .*not a point on the sphere"),
+        (2, "180.5", "bad row: .*not a point on the sphere"),
+        (3, "0", "bad row: .*capacity 0 is below 1"),
+        (0, "4", "bad row: .*listing id 4 repeats"),
+        (0, str(2**64), "bad row: .*does not fit in 64 bits"),
+        (0, str(-2**63), "bad row: .*does not fit in 64 bits"),
+        (4, "2", "bad row: .*active '2' is not 0 or 1"),
+        (1, "abc", "bad row: could not convert string to float: 'abc'"),
+        (3, "2.5", "bad row: invalid literal for int\\(\\) with base 10: '2.5'"),
+        (2, None, "expected 5 fields, got 4"),
+        (1, "12#5", "bad row: could not convert string to float: '12#5'"),
+        (4, "1#", "bad row: active '1#' is not 0 or 1"),
     ],
-    ids=["lat-nan", "lat-95", "lng-inf", "lng-180.5", "capacity-0", "repeated-id", "id-65-bits", "active-2"],
+    ids=[
+        "lat-nan", "lat-95", "lng-inf", "lng-180.5", "capacity-0", "repeated-id", "id-65-bits", "id-minus-2**63", "active-2",
+        "lat-abc", "capacity-2.5", "four-fields", "lat-hash", "active-hash",
+    ],
 )
 def test_bad_listing_row_names_its_line(tmp_path, small_dataset, field, value, message):
     world = small_dataset[0]
@@ -227,8 +312,53 @@ def test_bad_listing_row_names_its_line(tmp_path, small_dataset, field, value, m
     write_listings(path, world.listings)
     # Line 6 holds listing id 5, after ids 1-4 on lines 2-5.
     _set_field(path, 6, field, value)
-    with pytest.raises(DataError, match=f"listings.tsv:6: bad row: .*{message}"):
+    with pytest.raises(DataError, match=f"listings.tsv:6: {message}"):
         read_listings(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (3, "2.5", "invalid literal for int\\(\\) with base 10: '2.5'"),
+        (3, "1e3", "invalid literal for int\\(\\) with base 10: '1e3'"),
+        (0, "5.0", "invalid literal for int\\(\\) with base 10: '5.0'"),
+        (0, str(2**64), "listing id or capacity does not fit in 64 bits"),
+    ],
+    ids=["capacity-2.5", "capacity-1e3", "id-5.0", "id-2**64"],
+)
+def test_integers_written_as_floats_are_refused_whatever_the_warning_filters(
+    tmp_path, small_dataset, field, value, message
+):
+    # The command line runs with Python's default filters, which hide
+    # DeprecationWarnings; no filter may let such a row through.
+    world = small_dataset[0]
+    path = tmp_path / "listings.tsv"
+    write_listings(path, world.listings)
+    _set_field(path, 6, field, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DataError, match=f"listings.tsv:6: bad row: {message}"):
+            read_listings(path)
+
+
+def test_listing_spellings_only_python_parses_read_row_by_row(tmp_path, small_dataset):
+    world = small_dataset[0]
+    path = tmp_path / "listings.tsv"
+    write_listings(path, world.listings)
+    _set_field(path, 6, 0, "0_5")  # int() reads listing id 5; numpy refuses it
+    assert read_listings(path) == world.listings
+
+
+def test_listings_round_trip_without_rows_or_a_last_newline(tmp_path, small_dataset):
+    world = small_dataset[0]
+    path = tmp_path / "listings.tsv"
+    empty = world.listings.take(np.zeros(len(world.listings), dtype=bool))
+    write_listings(path, empty)
+    assert path.read_text().count("\n") == 1
+    assert read_listings(path) == empty
+    write_listings(path, world.listings)
+    path.write_text(path.read_text().rstrip("\n"))
+    assert read_listings(path) == world.listings
 
 
 @pytest.mark.parametrize(
