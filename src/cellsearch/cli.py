@@ -1,4 +1,4 @@
-"""Command line pipeline: gen, train, sweep, compare, retrieve, selfcheck.
+"""Command line pipeline: gen, train, sweep, compare, retrieve.
 
 Every command reads one JSON config (all keys defaulted) plus dotted
 ``--set`` overrides, and works inside the configured workdir:
@@ -13,19 +13,13 @@ Every command reads one JSON config (all keys defaulted) plus dotted
     workdir/sweep_*.svg     per-shard sweep charts (sweep)
     workdir/report.txt      matched-recall comparison report (compare)
 
-``selfcheck`` runs gen, train, sweep and compare on a fixed tiny run in a
-temporary directory, then the sampled-equals-full softmax identity.
-
 Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
 4 numeric failure, 5 capacity cap exceeded, 1 anything else.
 """
 
 import argparse
-import contextlib
-import io
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -33,14 +27,7 @@ from . import config as cfg
 from .baseline import BoundsModel, bounds_to_cellset, destination_coords, offset_targets
 from .checkpoint import load_baseline, load_model, save_baseline, save_model
 from .datagen import generate_dataset, load_dataset, read_events, write_dataset
-from .errors import (
-    CapacityError,
-    CellSearchError,
-    ConfigError,
-    DataError,
-    InvalidCellError,
-    NumericError,
-)
+from .errors import CapacityError, CellSearchError, ConfigError, DataError, NumericError
 from .evaluation import run_compare, sweep_shard, write_report, write_sweep_csv
 from .features import SHARDS, encode_events, fit_pipeline, load_pipeline, merge_batches, save_pipeline
 from .index import ListingIndex, load_index, save_index
@@ -83,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     retrieve.add_argument("--cutoff", type=float, help="probability cutoff (classifier mode)")
     retrieve.add_argument("--rect", action="store_true", help="use the bounds baseline instead")
     retrieve.add_argument("--limit", type=int, default=10, help="max cells/listings to print")
-    common(sub.add_parser("selfcheck", help="run a tiny pipeline end to end plus the sampled-softmax identity"))
     return parser
 
 
@@ -99,7 +85,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, InvalidCellError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
@@ -308,84 +294,12 @@ def cmd_retrieve(run: cfg.RunConfig, args) -> int:
     return 0
 
 
-# The fixed tiny run that the pipeline check drives end to end.
-_SELFCHECK_RUN = (
-    "data.n_destinations=6",
-    "data.n_listings=1500",
-    "data.n_train_events=3000",
-    "data.n_eval_events=60",
-    "train.epochs=2",
-    "train.batch_size=128",
-    "train.num_negatives=8",
-    "train.hidden=[16,16]",
-    "bounds.epochs=2",
-    "bounds.batch_size=128",
-    "bounds.hidden=[16,16]",
-)
-
-
-def _check_pipeline():
-    """gen, train, sweep and compare on a tiny run in a throwaway workdir."""
-    with tempfile.TemporaryDirectory() as tmp:
-        run = cfg.load_run_config(None, _SELFCHECK_RUN + (f"workdir={tmp}",))
-        for stage in ("gen", "train", "sweep", "compare"):
-            with contextlib.redirect_stdout(io.StringIO()):
-                _COMMANDS[stage](run, None)
-    return None
-
-
-def _check_sampled_softmax():
-    from .model import full_loss_and_grads, sampled_loss_and_grads
-    from .nn import TrunkSpec, init_trunk
-
-    rng = np.random.default_rng(3)
-    spec = TrunkSpec(("a",), (4,), 2, 1, (5,))
-    n_classes = 6
-    params = init_trunk(rng, spec, np.float64)
-    params["out_w"] = rng.normal(size=(spec.output_dim, n_classes))
-    params["out_b"] = rng.normal(size=n_classes)
-    cat = rng.integers(0, 4, (4, 1))
-    cont = rng.normal(size=(4, 1))
-    targets = np.full(4, 2)
-    negatives = np.array([k for k in range(n_classes) if k != 2])
-    s_loss, s_grads, _ = sampled_loss_and_grads(params, spec, cat, cont, targets, negatives)
-    f_loss, f_grads, _ = full_loss_and_grads(params, spec, cat, cont, targets)
-    if abs(s_loss - f_loss) > 1e-9:
-        return f"loss gap {abs(s_loss - f_loss):.3g}"
-    for name in s_grads:
-        if np.abs(s_grads[name] - f_grads[name]).max() > 1e-9:
-            return f"gradient gap in {name}"
-    return None
-
-
-SELF_CHECKS = (
-    ("pipeline", _check_pipeline),
-    ("sampled_softmax", _check_sampled_softmax),
-)
-
-
-def cmd_selfcheck(run: cfg.RunConfig, args) -> int:
-    failures = 0
-    for name, check in SELF_CHECKS:
-        try:
-            problem = check()
-        except Exception as exc:  # a failing check must not abort the rest
-            problem = f"{type(exc).__name__}: {exc}"
-        if problem is None:
-            print(f"[ok] {name}")
-        else:
-            failures += 1
-            print(f"[FAIL] {name}: {problem}")
-    return 0 if failures == 0 else 1
-
-
 _COMMANDS = {
     "gen": cmd_gen,
     "train": cmd_train,
     "sweep": cmd_sweep,
     "compare": cmd_compare,
     "retrieve": cmd_retrieve,
-    "selfcheck": cmd_selfcheck,
 }
 
 

@@ -5,7 +5,8 @@ bounds, eval) and two top-level scalars (workdir, full_scale). Every key
 has a default, so the file may be partial or absent. Command-line
 overrides use dotted paths into the same structure, for example
 ``--set data.seed=3`` or ``--set train.hidden=[64,32]``; values are
-parsed as JSON when possible and fall back to plain strings.
+parsed as JSON when possible and fall back to plain strings, and each
+must have the type of its default.
 
 Setting full_scale replaces the network widths and negative-sample count
 with the full-scale variants after the section defaults are applied, so
@@ -111,7 +112,6 @@ def apply_override(doc: dict, parts, value) -> None:
 @dataclass(frozen=True)
 class RunConfig:
     workdir: str
-    full_scale: bool
     data: GenConfig
     train: TrainConfig
     bounds: BoundsConfig
@@ -137,30 +137,42 @@ class RunConfig:
         return self.data_dir
 
 
+def _fits(value, default) -> bool:
+    """Whether value has the type of its default: bools are not ints, ints
+    pass for floats, and a list's elements must fit its default's first."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    wanted = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, wanted) and isinstance(value, bool) == isinstance(default, bool)
+
+
+def _check_types(doc: dict, defaults: dict, path: str = "") -> None:
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            _check_types(doc[key], default, f"{path}{key}.")
+        elif not _fits(doc[key], default):
+            kind = (f"list of {type(default[0]).__name__}" if isinstance(default, list)
+                    else type(default).__name__)
+            raise ConfigError(f"config key {path + key!r} must be of type {kind}, got {doc[key]!r}")
+
+
 def _build(doc: dict) -> RunConfig:
+    _check_types(doc, default_document())
     for section, key in _TUPLE_KEYS:
-        value = doc[section][key]
-        if isinstance(value, list):
-            doc[section][key] = tuple(value)
+        doc[section][key] = tuple(doc[section][key])
     chunk_size = doc["eval"]["chunk_size"]
-    if not isinstance(chunk_size, int) or chunk_size < 1:
+    if chunk_size < 1:
         raise ConfigError(f"eval.chunk_size must be a positive integer, got {chunk_size!r}")
-    if not isinstance(doc["full_scale"], bool):
-        raise ConfigError("full_scale must be true or false")
-    if not isinstance(doc["workdir"], str) or not doc["workdir"]:
+    if not doc["workdir"]:
         raise ConfigError("workdir must be a non-empty string")
-    try:
-        data = GenConfig(**doc["data"])
-        train = TrainConfig(**doc["train"])
-        bounds = BoundsConfig(**doc["bounds"])
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    data = GenConfig(**doc["data"])
+    train = TrainConfig(**doc["train"])
+    bounds = BoundsConfig(**doc["bounds"])
     if doc["full_scale"]:
         train = full_scale_config(train)
         bounds = full_scale_bounds_config(bounds)
     return RunConfig(
         workdir=doc["workdir"],
-        full_scale=doc["full_scale"],
         data=data,
         train=train,
         bounds=bounds,

@@ -56,10 +56,6 @@ class ListingIndex:
         """Listing ids of every posting, concatenated in posting order."""
         return self.listings.ids[self._posting_rows]
 
-    def posting(self, cell) -> np.ndarray:
-        """Active listing ids in one retrieval-level cell."""
-        return self.listings.ids[self.posting_rows([cell])]
-
     def posting_rows(self, cells) -> np.ndarray:
         """Store rows of the active listings posted under the given
         distinct cells, posting by posting in the order of cells."""

@@ -3,7 +3,7 @@
 The classifier's output classes are exactly the distinct booked cells of a
 shard's training events, sorted ascending; the full level-11 grid (25M
 cells) never materializes. Lookups of cells outside the vocabulary, or of
-ids that are not valid retrieval-level cells, return None (with a
+ids that are not valid retrieval-level cells, return -1 (with a
 diagnostics counter for the invalid ids).
 """
 
@@ -34,7 +34,7 @@ def is_retrieval_cell(raw: int) -> bool:
 
 
 class LabelVocabulary:
-    """Sorted class list plus reverse index for one shard."""
+    """Sorted class list for one shard; lookup_array maps cells back."""
 
     def __init__(self, shard: str, classes: np.ndarray):
         if classes.size == 0:
@@ -43,23 +43,13 @@ class LabelVocabulary:
             raise DataError("vocabulary cells must be valid retrieval-level cell ids")
         self.shard = shard
         self.classes = np.sort(np.unique(classes.astype(np.uint64)))
-        self._index = {int(c): i for i, c in enumerate(self.classes)}
         self.diagnostics = {"non_retrieval_level_lookups": 0}
 
     def __len__(self) -> int:
         return int(self.classes.size)
 
-    def lookup(self, cell) -> int | None:
-        """Class index of a cell, or None if absent. Ids that are not
-        retrieval-level cells are counted in diagnostics and reported absent."""
-        raw = int(cell)
-        if not is_retrieval_cell(raw):
-            self.diagnostics["non_retrieval_level_lookups"] += 1
-            return None
-        return self._index.get(raw)
-
     def lookup_array(self, cells) -> np.ndarray:
-        """Vectorized lookup; -1 marks absent (including invalid ids)."""
+        """Class index of each cell; -1 marks absent (including invalid ids)."""
         cells = np.asarray(cells, dtype=np.uint64)
         valid = retrieval_cell_mask(cells)
         self.diagnostics["non_retrieval_level_lookups"] += int((~valid).sum())
@@ -74,10 +64,6 @@ class LabelVocabulary:
     def reduction_ratio(self) -> float:
         """Vocabulary size relative to the full retrieval-level grid."""
         return len(self) / num_cells_at_level(RETRIEVAL_LEVEL)
-
-    def overlap(self, other: "LabelVocabulary") -> int:
-        """Number of classes shared with another shard's vocabulary."""
-        return int(np.isin(self.classes, other.classes).sum())
 
 
 def build_vocab(shard: str, booked_cells) -> LabelVocabulary:

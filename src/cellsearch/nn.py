@@ -55,12 +55,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + exp(x)) without overflow for large x."""
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))

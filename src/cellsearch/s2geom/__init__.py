@@ -13,7 +13,7 @@ from .cellid import (
     is_valid_raw,
     num_cells_at_level,
 )
-from .region import GeoRect, cover_rect, cover_rect_raw, cover_rects_raw, rect_intersects_cells
+from .region import GeoRect, cover_rect_raw, cover_rects_raw, rect_intersects_cells
 
 __all__ = [
     "MAX_LEVEL",
@@ -26,7 +26,6 @@ __all__ = [
     "cell_from_raw_ij",
     "cells_from_latlng_vec",
     "check_level",
-    "cover_rect",
     "cover_rect_raw",
     "cover_rects_raw",
     "is_valid_raw",

@@ -75,7 +75,7 @@ import numpy as np
 
 from ..errors import CapacityError, ConfigError, DataError
 from . import hilbert, transforms
-from .cellid import CellId, check_level
+from .cellid import check_level
 
 COVER_MAX_LEVEL = 16
 DEFAULT_COVER_CAP = 200_000
@@ -388,12 +388,6 @@ def rect_intersects_cells(rect: GeoRect, face, i, j, level: int) -> np.ndarray:
     return _rect_intersects_ij(_RectArrays([rect]), rid, face, i, j, level)[0]
 
 
-def rect_intersects_cell(rect: GeoRect, cell: CellId) -> bool:
-    """Exact rect/cell intersection for a single cell id."""
-    face, i, j, level = cell.to_ij()
-    return bool(rect_intersects_cells(rect, [face], [i], [j], level)[0])
-
-
 _CHILD_DI = np.array([0, 0, 1, 1], dtype=np.int64)
 _CHILD_DJ = np.array([0, 1, 0, 1], dtype=np.int64)
 
@@ -534,8 +528,3 @@ def cover_rect_raw(
     if cells is None:
         cells = _refine(g, 1, *_face_start(1), level, cap)
     return cells[0]
-
-
-def cover_rect(rect: GeoRect, level: int, cap: int = DEFAULT_COVER_CAP) -> set:
-    """Covering as a set of CellId."""
-    return {CellId(int(r)) for r in cover_rect_raw(rect, level, cap)}

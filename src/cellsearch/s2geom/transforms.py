@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-MAX_LEVEL = 30
-
 # xyz = NORMALS[f] + u * U_AXES[f] + v * V_AXES[f], before normalization.
 FACE_NORMALS = np.array(
     [
@@ -113,12 +111,6 @@ def xyz_to_face_uv(p):
     u = np.einsum("...i,...i->...", p, FACE_U_AXES[face]) / d
     v = np.einsum("...i,...i->...", p, FACE_V_AXES[face]) / d
     return face, u, v
-
-
-def normalize_rows(p):
-    """Scale vectors of shape (..., 3) to unit length."""
-    p = np.asarray(p, dtype=np.float64)
-    return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
 
 def latlng_to_xyz(lat_deg, lng_deg):

@@ -6,7 +6,6 @@ import re
 import shutil
 import subprocess
 import sys
-import tempfile
 from dataclasses import asdict
 
 import pytest
@@ -16,7 +15,6 @@ import cellsearch
 from cellsearch import cli
 from cellsearch.cli import main
 from cellsearch.datagen import load_dataset, read_events
-from cellsearch.errors import DataError
 from cellsearch.evaluation import format_report, run_compare
 from cellsearch.features import SHARDS, encode_events, fit_pipeline
 from cellsearch.labels import build_vocab
@@ -172,40 +170,32 @@ def test_exit_codes_for_missing_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_selfcheck_passes(tmp_path, monkeypatch, capsys):
-    # Run from an empty directory and keep the check's temporary files
-    # under tmp_path, so anything left behind shows up in either place.
-    cwd, temp = tmp_path / "cwd", tmp_path / "temp"
-    cwd.mkdir()
-    temp.mkdir()
-    monkeypatch.chdir(cwd)
-    monkeypatch.setattr(tempfile, "tempdir", str(temp))
-    assert main(["selfcheck"]) == 0
-    lines = [l for l in capsys.readouterr().out.splitlines() if l]
-    assert lines == ["[ok] pipeline", "[ok] sampled_softmax"]
-    assert list(cwd.iterdir()) == [] and list(temp.iterdir()) == []
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("gen", 'data.seed="abc"'),
+        ("gen", "data.seed=1.5"),
+        ("gen", "data.n_destinations=6.0"),
+        ("gen", "eval.chunk_size=true"),
+        ("train", "train.epochs=2.5"),
+        ("train", "train.batch_size=64.0"),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, command, override):
+    workdir = tmp_path / "run"
+    assert main([command, "--set", f"workdir={workdir}", "--set", override]) == 2
+    key = override.split("=")[0]
+    assert capsys.readouterr().err.startswith(f"config error: config key '{key}' must be of type ")
+    assert not workdir.exists()
 
 
-def test_selfcheck_reports_a_failing_stage(monkeypatch, capsys):
-    def broken_train(run, args):
-        raise DataError("planted failure")
-
-    monkeypatch.setitem(cli._COMMANDS, "train", broken_train)
-    assert main(["selfcheck"]) == 1
-    lines = [l for l in capsys.readouterr().out.splitlines() if l]
-    assert lines == [
-        "[FAIL] pipeline: DataError: planted failure",
-        "[ok] sampled_softmax",
-    ]
-
-
-def test_full_scale_flag_changes_train_shape(tmp_path, capsys):
-    # --full-scale only rewrites the config; verify through the config loader
-    from cellsearch.config import load_run_config
-
-    run = load_run_config(overrides=["full_scale=true"])
-    assert run.train.num_negatives == 25000
-    capsys.readouterr()
+def test_readme_command_block_names_every_subcommand():
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(repo, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    named = {line.split()[1] for line in block.splitlines() if line.startswith("cellsearch ")}
+    assert named == set(cli._COMMANDS)
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from cellsearch.errors import ConfigError, DataError
 def test_defaults_load_without_file():
     run = load_run_config()
     assert run.workdir == "run"
-    assert run.full_scale is False
     assert run.data.n_destinations == 60
     assert run.train.hidden == (64, 128, 64, 32)
     assert run.bounds.beta == 0.01
@@ -44,7 +43,6 @@ def test_file_and_overrides_merge(tmp_path):
 
 def test_full_scale_transform(tmp_path):
     run = load_run_config(overrides=["full_scale=true"])
-    assert run.full_scale is True
     assert run.train.hidden == (1024, 2056, 1024, 256)
     assert run.train.num_negatives == 25000
     assert run.bounds.hidden == (1024, 2056, 1024, 256)
@@ -89,6 +87,23 @@ def test_domain_validation_surfaces_as_config_error():
         load_run_config(overrides=["full_scale=7"])
     with pytest.raises(ConfigError):
         load_run_config(overrides=['workdir=""'])
+
+
+def test_values_must_have_their_default_type():
+    run = load_run_config(overrides=["bounds.alpha=2", "data.continent_mix=[1,1,2]"])
+    assert run.bounds.alpha == 2 and run.data.continent_mix == (1, 1, 2)
+    for bad in (
+        "train.hidden=[8,4.0]",
+        "train.hidden=8",
+        "data.continent_mix=[1,true,1]",
+        "train.dtype=32",
+        "data.seed=null",
+        'train.epochs={"n": 2}',
+        "workdir=3",
+    ):
+        key = bad.split("=")[0]
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be of type "):
+            load_run_config(overrides=[bad])
 
 
 def test_parse_override_forms():

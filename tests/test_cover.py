@@ -17,17 +17,17 @@ import pytest
 
 from cellsearch.errors import CapacityError, ConfigError, DataError
 from cellsearch.s2geom import (
+    CellId,
     GeoRect,
     all_cells_at_level,
     cell_from_latlng,
     cells_from_latlng_vec,
-    cover_rect,
     cover_rect_raw,
     cover_rects_raw,
     num_cells_at_level,
 )
 from cellsearch.s2geom import hilbert, region, transforms
-from cellsearch.s2geom.region import rect_intersects_cell, rect_intersects_cells
+from cellsearch.s2geom.region import rect_intersects_cells
 
 RECT_BATTERY = [
     GeoRect(10, 25, 30, 55),            # generic mid-latitude
@@ -158,9 +158,6 @@ def test_cover_monotone_across_levels():
         fine = cover_rect_raw(rect, 5, cap=10**6)
         parents = set()
         for raw in fine.tolist():
-            c = cell_from_latlng(0, 0, 0)  # placeholder type
-            from cellsearch.s2geom import CellId
-
             parents.add(int(CellId(raw).parent(4)))
         assert parents <= coarse
         # and every coarse cell has at least one fine descendant
@@ -173,9 +170,9 @@ def test_point_rect_cover_is_containing_cell():
         lat = rng.uniform(-85, 85)
         lng = rng.uniform(-179, 179)
         rect = GeoRect(lat, lat, lng, lng)
-        cover = cover_rect(rect, 11)
+        cover = cover_rect_raw(rect, 11).tolist()
         assert 1 <= len(cover) <= 4
-        assert cell_from_latlng(lat, lng, 11) in cover
+        assert int(cell_from_latlng(lat, lng, 11)) in cover
 
 
 def test_full_sphere_cover_counts():
@@ -342,9 +339,10 @@ def test_rect_from_center_clamps_and_wraps():
 
 
 def test_single_cell_predicate_agrees():
+    # Each cell decoded on its own through the scalar Hilbert functions.
     rect = GeoRect(10, 25, 30, 55)
-    cover = cover_rect(rect, 3)
-    for raw in all_cells_at_level(3).tolist():
-        from cellsearch.s2geom import CellId
-
-        assert rect_intersects_cell(rect, CellId(raw)) == (raw in cover)
+    raws = all_cells_at_level(3).tolist()
+    face, i, j, _ = zip(*(CellId(raw).to_ij() for raw in raws))
+    keep = rect_intersects_cells(rect, face, i, j, 3)
+    cover = set(cover_rect_raw(rect, 3).tolist())
+    assert keep.tolist() == [raw in cover for raw in raws]

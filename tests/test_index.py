@@ -75,10 +75,10 @@ def test_posting_accessor_matches_brute_force(world, index):
     rng = np.random.default_rng(0)
     for cell in rng.choice(index.posting_cells, size=10, replace=False):
         want = brute_force_cells(world, {int(cell)}, 1)
-        np.testing.assert_array_equal(index.posting(cell), want)
+        np.testing.assert_array_equal(world.listings.ids[index.posting_rows([cell])], want)
     absent = int(cell_from_latlng(0.0, 0.0, 11))  # open ocean
     if absent not in set(index.posting_cells.tolist()):
-        assert index.posting(absent).size == 0
+        assert index.posting_rows([absent]).size == 0
 
 
 def test_retrieve_cells_matches_brute_force(world, index):

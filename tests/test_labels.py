@@ -42,14 +42,13 @@ def test_train_coverage_complete(shard_batches):
 def test_lookup_and_reverse(shard_batches):
     shard, batch = next(iter(shard_batches.items()))
     vocab = build_vocab(shard, batch.booked_cells)
-    for cell in batch.booked_cells[:50].tolist():
-        i = vocab.lookup(cell)
-        assert i is not None
-        assert vocab.cell_of(i) == cell
+    cells = batch.booked_cells[:50]
+    idx = vocab.lookup_array(cells)
+    assert [vocab.cell_of(i) for i in idx.tolist()] == cells.tolist()
     # A valid level-11 cell that was never booked: Null Island is ocean.
     missing = int(cell_from_latlng(0.0, 0.0, 11))
     if missing not in set(batch.booked_cells.tolist()):
-        assert vocab.lookup(missing) is None
+        assert vocab.lookup_array([missing]).tolist() == [-1]
 
 
 def test_wrong_level_lookup_counts_diagnostics(shard_batches):
@@ -57,26 +56,9 @@ def test_wrong_level_lookup_counts_diagnostics(shard_batches):
     vocab = build_vocab(shard, batch.booked_cells)
     coarse = int(cell_from_latlng(10.0, 10.0, 7))
     before = vocab.diagnostics["non_retrieval_level_lookups"]
-    assert vocab.lookup(coarse) is None
-    assert vocab.diagnostics["non_retrieval_level_lookups"] == before + 1
-    arr = vocab.lookup_array(np.array([coarse, coarse], dtype=np.uint64))
-    assert np.all(arr == -1)
-    assert vocab.diagnostics["non_retrieval_level_lookups"] == before + 3
-
-
-def test_lookup_array_matches_scalar(shard_batches):
-    shard, batch = next(iter(shard_batches.items()))
-    vocab = build_vocab(shard, batch.booked_cells)
-    probes = np.concatenate(
-        [
-            batch.booked_cells[:20],
-            np.array([int(cell_from_latlng(0, 0, 11))], dtype=np.uint64),
-        ]
-    )
-    arr = vocab.lookup_array(probes)
-    for k, cell in enumerate(probes.tolist()):
-        scalar = vocab.lookup(cell)
-        assert (scalar if scalar is not None else -1) == arr[k]
+    arr = vocab.lookup_array(np.array([coarse, coarse, batch.booked_cells[0]], dtype=np.uint64))
+    assert arr[:2].tolist() == [-1, -1] and arr[2] >= 0
+    assert vocab.diagnostics["non_retrieval_level_lookups"] == before + 2
 
 
 def test_empty_shard_rejected():
@@ -125,17 +107,3 @@ def test_reduction_ratio_far_below_full_grid(shard_batches):
         assert vocab.reduction_ratio() < 1e-2
         assert len(vocab) < num_cells_at_level(11)
 
-
-def test_shard_overlap_counts(shard_batches):
-    vocabs = {
-        s: build_vocab(s, b.booked_cells) for s, b in shard_batches.items()
-    }
-    names = list(vocabs)
-    for a in names:
-        assert vocabs[a].overlap(vocabs[a]) == len(vocabs[a])
-        for b in names:
-            got = vocabs[a].overlap(vocabs[b])
-            want = len(
-                set(vocabs[a].classes.tolist()) & set(vocabs[b].classes.tolist())
-            )
-            assert got == want

@@ -83,10 +83,11 @@ def test_face_uv_round_trip():
 def test_xyz_face_uv_round_trip_random_sphere():
     rng = np.random.default_rng(13)
     p = rng.normal(size=(20000, 3))
-    p = tr.normalize_rows(p)
+    p /= np.linalg.norm(p, axis=-1, keepdims=True)
     face, u, v = tr.xyz_to_face_uv(p)
     assert np.all((u >= -1) & (u <= 1) & (v >= -1) & (v <= 1))
-    back = tr.normalize_rows(tr.face_uv_to_xyz(face, u, v))
+    back = tr.face_uv_to_xyz(face, u, v)
+    back /= np.linalg.norm(back, axis=-1, keepdims=True)
     npt.assert_allclose(back, p, atol=1e-14)
 
 
