@@ -16,6 +16,7 @@ a config file tuned for desk runs switches scale with one flag.
 import copy
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 from .baseline import BoundsConfig, full_scale_bounds_config
@@ -139,11 +140,15 @@ class RunConfig:
 
 def _fits(value, default) -> bool:
     """Whether value has the type of its default: bools are not ints, ints
-    pass for floats, and a list's elements must fit its default's first."""
+    pass for floats, floats must be finite, and a list's elements must fit
+    its default's first."""
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
-    wanted = (int, float) if isinstance(default, float) else type(default)
-    return isinstance(value, wanted) and isinstance(value, bool) == isinstance(default, bool)
+    if isinstance(default, float):
+        # False for NaN, the infinities and ints too large for a float.
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return number and abs(value) <= sys.float_info.max
+    return isinstance(value, type(default)) and isinstance(value, bool) == isinstance(default, bool)
 
 
 def _check_types(doc: dict, defaults: dict, path: str = "") -> None:
@@ -151,8 +156,9 @@ def _check_types(doc: dict, defaults: dict, path: str = "") -> None:
         if isinstance(default, dict):
             _check_types(doc[key], default, f"{path}{key}.")
         elif not _fits(doc[key], default):
-            kind = (f"list of {type(default[0]).__name__}" if isinstance(default, list)
-                    else type(default).__name__)
+            leaf = default[0] if isinstance(default, list) else default
+            kind = "finite float" if isinstance(leaf, float) else type(leaf).__name__
+            kind = f"list of {kind}" if isinstance(default, list) else kind
             raise ConfigError(f"config key {path + key!r} must be of type {kind}, got {doc[key]!r}")
 
 

@@ -152,10 +152,6 @@ class ListingStore:
             for f in fields(self)
         )
 
-    def take(self, rows) -> "ListingStore":
-        """The store restricted to rows (a mask or increasing positions)."""
-        return ListingStore(*(getattr(self, f.name)[rows] for f in fields(self)))
-
 
 @dataclass(frozen=True)
 class SearchEvent:

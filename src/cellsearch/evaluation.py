@@ -417,8 +417,9 @@ def gap_statistics(
     chunk_size: int = 512,
 ) -> GapStats:
     """Count retrieved band listings for the gap destination's searches,
-    each route as in the shard evaluation but over the band's listings
-    alone: sweep_shard at the matched cutoff, and the rectangle count."""
+    from the band's active listings that seat the party: under the
+    classifier, those whose cell's probability reaches the matched cutoff;
+    under the baseline, those inside the search's rectangle."""
 
     gap = world.gap
     dest = next(d for d in world.destinations if d.dest_id == gap.dest_id)
@@ -433,17 +434,19 @@ def gap_statistics(
         return empty
     gb = batch.take(rows)
     n = len(gb)
-    band = np.isin(world.listings.ids, gap.listing_ids)
-    gap_index = ListingIndex.build(world.listings.take(band))
+    store = world.listings
+    band = np.flatnonzero(np.isin(store.ids, gap.listing_ids) & store.active)
+    seats = store.capacities[band] >= gb.num_guests[:, None]  # (n, band)
 
-    sweep = sweep_shard(
-        models[shard], gb, gap_index, lambdas=[matched_lambdas[shard]], chunk_size=chunk_size
-    )
-    # Per-search counts are whole numbers, so their mean times n rounds
-    # back to their exact sum.
-    cell_total = float(round(sweep.mean_retrieved[0] * n))
+    model = models[shard]
+    col = model.vocab.lookup_array(store.cells[band])
+    cell_total = 0.0
+    for lo, hi, probs in _prob_chunks(model, gb, chunk_size):
+        reached = (probs[:, np.maximum(col, 0)] >= matched_lambdas[shard]) & (col >= 0)
+        cell_total += np.count_nonzero(reached & seats[lo:hi])
     rects = bmodel.predict_bounds(gb, destination_coords(gb, world.destinations))
-    rect_total = float(_rect_counts(gap_index, rects, _coverings(rects), gb.num_guests).sum())
+    inside = [rect.contains(store.lats[band], store.lngs[band]) for rect in rects]
+    rect_total = float(np.count_nonzero(np.array(inside) & seats))
 
     return GapStats(
         dest_id=gap.dest_id,

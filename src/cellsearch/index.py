@@ -74,8 +74,6 @@ class ListingIndex:
 
     def retrieve_cells(self, cells, num_guests: int = 1, active_only: bool = True):
         """Sorted listing ids in any of the cells, capacity-filtered."""
-        if isinstance(cells, (set, frozenset)):
-            cells = sorted(cells)
         query = np.unique(np.asarray(cells, dtype=np.uint64))
         if not retrieval_cell_mask(query).all():
             raise DataError("query cells must be valid retrieval-level ids")
@@ -112,60 +110,38 @@ class ListingIndex:
         return table[back]
 
 
-def save_index(path, index: ListingIndex, listings_ref: str):
-    """Write the postings as text: one 'cell count ids...' line per cell."""
+def _render(index: ListingIndex, listings_ref: str) -> bytes:
+    """The postings file: a header, then one 'cell count ids...' line per
+    cell, in posting order."""
     if "\n" in listings_ref or " " in listings_ref:
         raise DataError("listings_ref must be a single token")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{INDEX_MAGIC} {INDEX_VERSION}\n")
-        f.write(f"listings {listings_ref}\n")
-        f.write(f"cells {index.posting_cells.size}\n")
-        posting_ids = index.posting_ids
-        for k in range(index.posting_cells.size):
-            lo, hi = index.posting_offsets[k], index.posting_offsets[k + 1]
-            ids = " ".join(str(i) for i in posting_ids[lo:hi])
-            f.write(f"{index.posting_cells[k]} {hi - lo} {ids}\n")
+    ids = [str(i) for i in index.posting_ids.tolist()]
+    offsets = index.posting_offsets.tolist()
+    lines = [f"{INDEX_MAGIC} {INDEX_VERSION}", f"listings {listings_ref}", f"cells {len(offsets) - 1}"]
+    for cell, lo, hi in zip(index.posting_cells.tolist(), offsets, offsets[1:]):
+        lines.append(f"{cell} {hi - lo} " + " ".join(ids[lo:hi]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def save_index(path, index: ListingIndex, listings_ref: str):
+    """Write the postings file of the index."""
+    rendered = _render(index, listings_ref)
+    with open(path, "wb") as f:
+        f.write(rendered)
 
 
 def load_index(path, listings) -> tuple[ListingIndex, str]:
-    """Rebuild an index from its postings file plus the listing store.
+    """Index the listings and check the postings file against them.
 
-    Returns (index, listings_ref). The postings are validated against a
-    fresh index built from the listings; any disagreement is an error.
+    Returns (index, listings_ref), the ref read from the file's second
+    line. The file must equal, byte for byte, what save_index writes for
+    this index and ref.
     """
     index = ListingIndex.build(listings)
-    with open(path, "r", encoding="utf-8", errors="replace") as f, data_file(path):
-        head = f.readline().split()
-        if head != [INDEX_MAGIC, str(INDEX_VERSION)]:
-            raise DataError("not a recognized index file")
-        ref_line = f.readline().split()
-        if len(ref_line) != 2 or ref_line[0] != "listings":
-            raise DataError("index file is missing the listings line")
-        count_line = f.readline().split()
-        if len(count_line) != 2 or count_line[0] != "cells" or not count_line[1].isdecimal():
-            raise DataError("index file is missing the cell count")
-        n_cells = int(count_line[1])
-        if n_cells != index.posting_cells.size:
-            raise DataError(
-                f"index file has {n_cells} cells, listings imply "
-                f"{index.posting_cells.size}"
-            )
-        posting_ids = index.posting_ids
-        for k in range(n_cells):
-            parts = f.readline().split()
-            if len(parts) < 2:
-                raise DataError(f"truncated posting line {k}")
-            try:
-                cell = np.uint64(parts[0])
-                count = int(parts[1])
-                ids = np.array(parts[2:], dtype=np.int64)
-            except (ValueError, OverflowError):
-                raise DataError(f"posting line {k} does not parse") from None
-            if ids.size != count:
-                raise DataError(f"posting {parts[0]} count disagrees with ids")
-            if cell != index.posting_cells[k]:
-                raise DataError(f"posting {parts[0]} does not match the listings")
-            lo, hi = index.posting_offsets[k], index.posting_offsets[k + 1]
-            if not np.array_equal(ids, posting_ids[lo:hi]):
-                raise DataError(f"posting {parts[0]} ids do not match the listings")
-    return index, ref_line[1]
+    with open(path, "rb") as f, data_file(path):
+        raw = f.read()
+        second_line = raw.partition(b"\n")[2].partition(b"\n")[0]
+        ref = second_line.decode("utf-8", errors="replace").removeprefix("listings ")
+        if raw != _render(index, ref):
+            raise DataError("not the postings of the listings")
+    return index, ref

@@ -179,6 +179,8 @@ def test_exit_codes_for_missing_inputs(tmp_path, capsys):
         ("gen", "eval.chunk_size=true"),
         ("train", "train.epochs=2.5"),
         ("train", "train.batch_size=64.0"),
+        ("train", "bounds.alpha=NaN"),
+        ("train", "bounds.beta=Infinity"),
     ],
 )
 def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, command, override):

@@ -96,6 +96,9 @@ def test_values_must_have_their_default_type():
         "train.hidden=[8,4.0]",
         "train.hidden=8",
         "data.continent_mix=[1,true,1]",
+        "data.continent_mix=[1,NaN,1]",
+        "bounds.beta=-Infinity",
+        "bounds.alpha=1" + "0" * 400,
         "train.dtype=32",
         "data.seed=null",
         'train.epochs={"n": 2}',

@@ -1,6 +1,7 @@
 """Sweep metrics, recall matching, baseline scoring, and artifact writers."""
 
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cellsearch.evaluation import (
     write_sweep_csv,
 )
 from cellsearch.features import SHARDS
+from cellsearch.index import ListingIndex
 from cellsearch.svg import sweep_svg_text, write_sweep_svg
 
 
@@ -234,18 +236,18 @@ def test_run_compare_matches_recall(stack, compared):
         assert gap.rect_mean_retrieved == pytest.approx(gap.rect_retrieved_total / gap.n_events)
 
 
-def test_gap_statistics_counts_band_listings(stack):
-    world, pipeline, eval_batches, models, bmodel, index = stack
-    dest = next(d for d in world.destinations if d.dest_id == world.gap.dest_id)
-    shard = dest.continent
-    lam = 1e-4
-    stats = gap_statistics(models, bmodel, eval_batches, world, {shard: lam})
+def _gap_shard(world):
+    return next(d for d in world.destinations if d.dest_id == world.gap.dest_id).continent
+
+
+def _expected_gap_totals(world, eval_batches, models, bmodel, lam):
+    """Both routes' band counts by brute force: the classifier's through
+    retrieve_cells on an index of the whole store, the rectangle's by a
+    scan of the band."""
+    shard = _gap_shard(world)
     batch = eval_batches[shard]
-    rows = np.flatnonzero(batch.dest_ids == world.gap.dest_id)
-    assert stats.n_events == rows.size
-    if rows.size == 0:
-        return
-    gb = batch.take(rows)
+    gb = batch.take(np.flatnonzero(batch.dest_ids == world.gap.dest_id))
+    index = ListingIndex.build(world.listings)
     gap_ids = set(world.gap.listing_ids)
     model = models[shard]
     probs = model.predict_probs(gb).astype(np.float64)
@@ -255,7 +257,6 @@ def test_gap_statistics_counts_band_listings(stack):
         selected = classes[probs[e] >= lam]
         ids = index.retrieve_cells(selected, int(gb.num_guests[e]))
         expected_cell += sum(1 for i in ids if int(i) in gap_ids)
-    assert stats.cell_retrieved_total == pytest.approx(expected_cell, abs=1e-9)
     coords = destination_coords(gb, world.destinations)
     rects = bmodel.predict_bounds(gb, coords)
     store = world.listings
@@ -266,7 +267,47 @@ def test_gap_statistics_counts_band_listings(stack):
             seats = store.capacities[r] >= gb.num_guests[e]
             if store.active[r] and seats and rect.contains(store.lats[r], store.lngs[r]):
                 expected_rect += 1
+    return expected_cell, expected_rect
+
+
+def test_gap_statistics_counts_band_listings(stack):
+    world, pipeline, eval_batches, models, bmodel, index = stack
+    shard = _gap_shard(world)
+    lam = 1e-4
+    stats = gap_statistics(models, bmodel, eval_batches, world, {shard: lam})
+    batch = eval_batches[shard]
+    rows = np.flatnonzero(batch.dest_ids == world.gap.dest_id)
+    assert stats.n_events == rows.size
+    if rows.size == 0:
+        return
+    expected_cell, expected_rect = _expected_gap_totals(world, eval_batches, models, bmodel, lam)
+    assert stats.cell_retrieved_total == pytest.approx(expected_cell, abs=1e-9)
     assert stats.rect_retrieved_total == pytest.approx(expected_rect, abs=1e-9)
+
+
+def test_gap_statistics_skips_inactive_band_listings(stack):
+    """A band the classifier reaches too (the gap band plus every listing
+    in a cell of the shard's vocabulary), with every third of its active
+    listings made inactive: both routes match the brute-force counts and
+    fall below their counts over the band as generated."""
+    world, pipeline, eval_batches, models, bmodel, index = stack
+    shard = _gap_shard(world)
+    lam = 1e-4
+    store = world.listings
+    reachable = models[shard].vocab.lookup_array(store.cells) >= 0
+    band_ids = np.union1d(world.gap.listing_ids, store.ids[reachable])
+    wide = replace(world, gap=replace(world.gap, listing_ids=tuple(band_ids.tolist())))
+    active = store.active.copy()
+    active[np.flatnonzero(np.isin(store.ids, band_ids) & active)[::3]] = False
+    damped = replace(wide, listings=replace(store, active=active))
+
+    full = gap_statistics(models, bmodel, eval_batches, wide, {shard: lam})
+    stats = gap_statistics(models, bmodel, eval_batches, damped, {shard: lam})
+    assert stats.n_events > 0
+    expected = _expected_gap_totals(damped, eval_batches, models, bmodel, lam)
+    assert (stats.cell_retrieved_total, stats.rect_retrieved_total) == expected
+    assert 0 < stats.cell_retrieved_total < full.cell_retrieved_total
+    assert 0 < stats.rect_retrieved_total < full.rect_retrieved_total
 
 
 def test_sweep_csv_layout(stack, tmp_path):

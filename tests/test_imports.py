@@ -1,9 +1,12 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no package module keeps a
+private name it never uses.
 
 An AST scan of the package, the tests and the demos: every name an import
 binds must be referenced somewhere in the same file. Package `__init__.py`
 files are skipped, since their imports are re-exports, and so are
-`__future__` imports.
+`__future__` imports. In the package, every private name (`_x`) that a
+module defines at its top level must be referenced in that module, so a
+deletion leaves no helper without a caller.
 """
 
 import ast
@@ -32,6 +35,22 @@ def unused_imports(source: str) -> list:
     return [(line, name) for line, name in bound if name not in used]
 
 
+def unused_private_names(source: str) -> list:
+    """(line, name) of every private name a module defines at its top level
+    (a function, a class or an assignment) and never references."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(line, name) for line, name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in used]
+
+
 def test_sources_are_found():
     assert any(p.endswith(os.path.join("s2geom", "region.py")) for p in SOURCES)
     assert any(p.endswith("test_imports.py") for p in SOURCES)
@@ -50,4 +69,19 @@ def test_no_unused_imports():
     for path in SOURCES:
         with open(path, encoding="utf-8") as f:
             found += [f"{os.path.relpath(path, REPO)}:{line} {name}" for line, name in unused_imports(f.read())]
+    assert found == []
+
+
+def test_scan_flags_an_unused_private_name():
+    source = "def _a(): pass\ndef _b(): _c\n_c = 1\n_d: int = 2\nclass _E: pass\n__all__ = []\ndef f(): pass\n"
+    assert unused_private_names(source) == [(1, "_a"), (2, "_b"), (4, "_d"), (5, "_E")]
+
+
+def test_no_unused_private_names():
+    found = []
+    for path in SOURCES:
+        if not path.startswith(os.path.join(REPO, "src", "")):
+            continue
+        with open(path, encoding="utf-8") as f:
+            found += [f"{os.path.relpath(path, REPO)}:{line} {name}" for line, name in unused_private_names(f.read())]
     assert found == []

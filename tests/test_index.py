@@ -106,12 +106,12 @@ def test_retrieve_cells_matches_brute_force(world, index):
         np.testing.assert_array_equal(got_all, want_all)
 
 
-def test_retrieve_cells_accepts_sets_and_empty(index):
-    assert index.retrieve_cells([]).size == 0
-    some = set(index.posting_cells[:3].tolist())
-    got = index.retrieve_cells(some)
+def test_retrieve_cells_accepts_arrays_and_empty(index):
+    assert index.retrieve_cells(np.array([], dtype=np.uint64)).size == 0
+    some = index.posting_cells[:3]
+    got = index.retrieve_cells(some[::-1])
     assert got.size > 0
-    np.testing.assert_array_equal(got, index.retrieve_cells(np.array(sorted(some))))
+    np.testing.assert_array_equal(got, index.retrieve_cells(some))
 
 
 def test_retrieve_cells_rejects_wrong_level(index):
@@ -211,6 +211,20 @@ def test_tampered_index_rejected(tmp_path, world, index):
     with pytest.raises(DataError):
         load_index(bad3, world.listings)
 
+    # The file must be exactly what save_index writes: a trailing space on
+    # a posting line fails, and so does a file cut after its header.
+    spaced = list(lines)
+    spaced[3] += " "
+    bad4 = tmp_path / "spaced.idx"
+    bad4.write_text("\n".join(spaced) + "\n")
+    with pytest.raises(DataError, match="spaced.idx"):
+        load_index(bad4, world.listings)
+
+    bad5 = tmp_path / "header.idx"
+    bad5.write_text("\n".join(lines[:3]) + "\n")
+    with pytest.raises(DataError, match="header.idx"):
+        load_index(bad5, world.listings)
+
 
 def test_concurrent_reads_are_consistent(world, index):
     rng = np.random.default_rng(4)
@@ -247,8 +261,8 @@ def test_all_inactive_store_uses_scan_fallback():
     np.testing.assert_array_equal(got, np.array(sorted(want), dtype=np.int64))
 
 
-def test_build_rejects_bad_stores(world):
+def test_build_rejects_bad_stores():
     with pytest.raises(DataError):
-        ListingIndex.build(world.listings.take(np.zeros(len(world.listings), dtype=bool)))
+        ListingIndex.build(ListingStore.from_columns([], [], [], [], []))
     with pytest.raises(DataError, match="listing id 7 repeats"):
         ListingStore.from_columns([7, 3, 7], [1.0] * 3, [2.0] * 3, [1] * 3, [True] * 3)
