@@ -14,10 +14,12 @@ Every command reads one JSON config (all keys defaulted) plus dotted
     workdir/report.txt      matched-recall comparison report (compare)
 
 Exit codes: 0 success, 2 configuration error, 3 data/artifact error,
-4 numeric failure, 5 capacity cap exceeded, 1 anything else.
+4 numeric failure (with the tail of the failing fit's epoch log),
+5 capacity cap exceeded, 1 anything else.
 """
 
 import argparse
+import json
 import os
 import sys
 
@@ -90,6 +92,9 @@ def main(argv=None) -> int:
         return 3
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        if exc.log is not None:
+            tail = [json.dumps(entry, sort_keys=True) for entry in exc.log[-3:]]
+            print("\n".join(tail or ["no epoch finished"]), file=sys.stderr)
         return 4
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
@@ -205,7 +210,7 @@ def cmd_sweep(run: cfg.RunConfig, args) -> int:
         if len(batch) == 0:
             print(f"shard {shard}: no eval events, skipped")
             continue
-        result = sweep_shard(models[shard], batch, index, chunk_size=run.chunk_size)
+        result = sweep_shard(models[shard], batch, index)
         results.append(result)
         svg_path = run.path(cfg.sweep_svg_file(shard))
         write_sweep_svg(svg_path, result)
@@ -224,7 +229,7 @@ def cmd_sweep(run: cfg.RunConfig, args) -> int:
 def cmd_compare(run: cfg.RunConfig, args) -> int:
     world, pipeline, models, bmodel, index, eval_batches = _load_stack(run)
     batches = {s: b for s, b in eval_batches.items() if len(b) > 0}
-    result = run_compare(models, bmodel, batches, world, index, run.chunk_size)
+    result = run_compare(models, bmodel, batches, world, index)
     for comp in result.shards:
         flag = " (target unreachable)" if comp.match_warning else ""
         print(

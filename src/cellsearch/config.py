@@ -1,12 +1,13 @@
 """Run configuration: one JSON document plus dotted-path overrides.
 
-A run is described by a single JSON file with four sections (data, train,
-bounds, eval) and two top-level scalars (workdir, full_scale). Every key
+A run is described by a single JSON file with three sections (data,
+train, bounds) and two top-level scalars (workdir, full_scale). Every key
 has a default, so the file may be partial or absent. Command-line
 overrides use dotted paths into the same structure, for example
 ``--set data.seed=3`` or ``--set train.hidden=[64,32]``; values are
 parsed as JSON when possible and fall back to plain strings, and each
-must have the type of its default.
+must have the type of its default. An override is merged exactly as a
+config file holding only that key would be.
 
 Setting full_scale replaces the network widths and negative-sample count
 with the full-scale variants after the section defaults are applied, so
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from .baseline import BoundsConfig, full_scale_bounds_config
 from .datagen import GenConfig
 from .errors import ConfigError, DataError
+from .evaluation import EVAL_CHUNK
 from .model import TrainConfig, full_scale_config
 
 DATA_DIR = "data"
@@ -63,7 +65,6 @@ def default_document() -> dict:
         "data": section(GenConfig()),
         "train": section(TrainConfig()),
         "bounds": section(BoundsConfig()),
-        "eval": {"chunk_size": 512},
     }
 
 
@@ -96,27 +97,14 @@ def parse_override(text: str):
     return parts, value
 
 
-def apply_override(doc: dict, parts, value) -> None:
-    node = doc
-    for p in parts[:-1]:
-        if p not in node or not isinstance(node[p], dict):
-            raise ConfigError(f"unknown config section {'.'.join(parts)!r}")
-        node = node[p]
-    leaf = parts[-1]
-    if leaf not in node:
-        raise ConfigError(f"unknown config key {'.'.join(parts)!r}")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"config key {'.'.join(parts)!r} is a section, not a value")
-    node[leaf] = value
-
-
 @dataclass(frozen=True)
 class RunConfig:
     workdir: str
     data: GenConfig
     train: TrainConfig
     bounds: BoundsConfig
-    chunk_size: int
+    # Not a field: the benchmark harness chunks its recount as evaluation does.
+    chunk_size = EVAL_CHUNK
 
     @property
     def data_dir(self) -> str:
@@ -166,24 +154,22 @@ def _build(doc: dict) -> RunConfig:
     _check_types(doc, default_document())
     for section, key in _TUPLE_KEYS:
         doc[section][key] = tuple(doc[section][key])
-    chunk_size = doc["eval"]["chunk_size"]
-    if chunk_size < 1:
-        raise ConfigError(f"eval.chunk_size must be a positive integer, got {chunk_size!r}")
     if not doc["workdir"]:
         raise ConfigError("workdir must be a non-empty string")
+    # The workdir, or the nearest of its parents that exists, must be a
+    # directory, or the first write would fail with NotADirectoryError.
+    existing = os.path.abspath(doc["workdir"])
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"workdir {doc['workdir']}: {existing} is not a directory")
     data = GenConfig(**doc["data"])
     train = TrainConfig(**doc["train"])
     bounds = BoundsConfig(**doc["bounds"])
     if doc["full_scale"]:
         train = full_scale_config(train)
         bounds = full_scale_bounds_config(bounds)
-    return RunConfig(
-        workdir=doc["workdir"],
-        data=data,
-        train=train,
-        bounds=bounds,
-        chunk_size=chunk_size,
-    )
+    return RunConfig(workdir=doc["workdir"], data=data, train=train, bounds=bounds)
 
 
 def load_run_config(path=None, overrides=()) -> RunConfig:
@@ -194,14 +180,15 @@ def load_run_config(path=None, overrides=()) -> RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 incoming = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        except (OSError, ValueError) as exc:
+            # Missing, a directory, not UTF-8 or not JSON.
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         if not isinstance(incoming, dict):
             raise ConfigError("config file must hold a JSON object")
         _merge(doc, incoming)
     for text in overrides:
         parts, value = parse_override(text)
-        apply_override(doc, parts, value)
+        for key in reversed(parts):
+            value = {key: value}
+        _merge(doc, value)
     return _build(doc)

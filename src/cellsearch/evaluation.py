@@ -37,7 +37,7 @@ dest_weighted_recall
     view that weights rarely searched destinations equally.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +45,16 @@ from .baseline import BoundsModel, destination_coords
 from .datagen import World
 from .errors import ConfigError, DataError
 from .features import SHARDS, EncodedBatch
-from .index import ListingIndex
+from .index import ListingIndex, sorted_unique
 from .labels import RETRIEVAL_LEVEL
 from .model import ShardModel
 from .s2geom import cover_rects_raw
 
 LAMBDA_GRID = np.logspace(-5.0, -1.0, 40)
+
+# Evaluation searches scored per predict_probs call, which bounds the
+# (rows, classes) probability block held at once.
+EVAL_CHUNK = 512
 
 # Operating thresholds chosen on the full-scale configuration, recorded
 # for reference next to sweep output. They are not asserted anywhere:
@@ -133,11 +137,11 @@ def _summary(hits, cells, listings, didx, dest_precisions) -> dict:
     }
 
 
-def _prob_chunks(model: ShardModel, batch: EncodedBatch, chunk_size: int):
+def _prob_chunks(model: ShardModel, batch: EncodedBatch):
     """(lo, hi, float64 class probabilities of rows lo:hi) chunk by chunk."""
     n = len(batch)
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
+    for lo in range(0, n, EVAL_CHUNK):
+        hi = min(lo + EVAL_CHUNK, n)
         yield lo, hi, model.predict_probs(batch.take(slice(lo, hi))).astype(np.float64)
 
 
@@ -147,7 +151,7 @@ def _pick_booked(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(ok, probs[np.arange(y.size), np.where(ok, y, 0)], -1.0)
 
 
-def booked_cell_probs(model: ShardModel, batch: EncodedBatch, chunk_size: int = 512) -> np.ndarray:
+def booked_cell_probs(model: ShardModel, batch: EncodedBatch) -> np.ndarray:
     """Predicted probability of each search's booked cell, -1.0 where OOV."""
 
     n = len(batch)
@@ -155,7 +159,7 @@ def booked_cell_probs(model: ShardModel, batch: EncodedBatch, chunk_size: int = 
         raise DataError("cannot evaluate an empty batch")
     y = model.vocab.lookup_array(batch.booked_cells)
     out = np.empty(n)
-    for lo, hi, probs in _prob_chunks(model, batch, chunk_size):
+    for lo, hi, probs in _prob_chunks(model, batch):
         out[lo:hi] = _pick_booked(probs, y[lo:hi])
     return out
 
@@ -176,7 +180,6 @@ def sweep_shard(
     batch: EncodedBatch,
     index: ListingIndex,
     lambdas=None,
-    chunk_size: int = 512,
 ) -> SweepResult:
     """Evaluate one shard's classifier over a grid of probability cutoffs.
 
@@ -212,7 +215,7 @@ def sweep_shard(
     listing_counts = np.zeros((n, n_lam))
     max_prob = np.zeros((n_dests, k), dtype=np.float64)
 
-    for lo, hi, probs in _prob_chunks(model, batch, chunk_size):
+    for lo, hi, probs in _prob_chunks(model, batch):
         booked_probs[lo:hi] = _pick_booked(probs, y[lo:hi])
 
         # bins[r, c] counts grid cutoffs <= probs[r, c]; a cell is retrieved
@@ -358,7 +361,7 @@ def evaluate_baseline(
     dest_precisions = np.zeros((dest_ids.size, 1))
     for d in range(dest_ids.size):
         rows = np.flatnonzero(didx == d)
-        union = np.unique(np.concatenate([coverings[r] for r in rows]))
+        union = sorted_unique(np.concatenate([coverings[r] for r in rows]))
         inter = int(np.isin(np.unique(booked[rows]), union).sum())
         dest_precisions[d] = inter / union.size if union.size else 0.0
 
@@ -405,7 +408,6 @@ class CompareResult:
     pooled_baseline_precision_dest: float
     n_destinations: int
     gap: GapStats
-    reference_lambdas: dict = field(default_factory=dict)
 
 
 def gap_statistics(
@@ -414,7 +416,6 @@ def gap_statistics(
     batches: dict,
     world: World,
     matched_lambdas: dict,
-    chunk_size: int = 512,
 ) -> GapStats:
     """Count retrieved band listings for the gap destination's searches,
     from the band's active listings that seat the party: under the
@@ -441,7 +442,7 @@ def gap_statistics(
     model = models[shard]
     col = model.vocab.lookup_array(store.cells[band])
     cell_total = 0.0
-    for lo, hi, probs in _prob_chunks(model, gb, chunk_size):
+    for lo, hi, probs in _prob_chunks(model, gb):
         reached = (probs[:, np.maximum(col, 0)] >= matched_lambdas[shard]) & (col >= 0)
         cell_total += np.count_nonzero(reached & seats[lo:hi])
     rects = bmodel.predict_bounds(gb, destination_coords(gb, world.destinations))
@@ -465,7 +466,6 @@ def run_compare(
     batches: dict,
     world: World,
     index: ListingIndex,
-    chunk_size: int = 512,
 ) -> CompareResult:
     """Compare the classifiers against the bounds baseline at matched recall.
 
@@ -488,9 +488,9 @@ def run_compare(
         batch = batches[shard]
         model = models[shard]
         base = evaluate_baseline(bmodel, batch, world.destinations, index)
-        probs = booked_cell_probs(model, batch, chunk_size)
+        probs = booked_cell_probs(model, batch)
         lam, warned = quantile_threshold(probs, base.point.recall)
-        sweep = sweep_shard(model, batch, index, lambdas=np.array([lam]), chunk_size=chunk_size)
+        sweep = sweep_shard(model, batch, index, lambdas=np.array([lam]))
         cell_point = sweep.point(0)
         comparisons.append(
             ShardComparison(
@@ -511,14 +511,13 @@ def run_compare(
 
     pooled_cell = float(np.concatenate(cell_dest_prec).mean())
     pooled_base = float(np.concatenate(base_dest_prec).mean())
-    gap = gap_statistics(models, bmodel, batches, world, matched, chunk_size)
+    gap = gap_statistics(models, bmodel, batches, world, matched)
     return CompareResult(
         shards=comparisons,
         pooled_cell_precision_dest=pooled_cell,
         pooled_baseline_precision_dest=pooled_base,
         n_destinations=sum(p.size for p in cell_dest_prec),
         gap=gap,
-        reference_lambdas=dict(FULL_SCALE_REFERENCE_LAMBDAS),
     )
 
 
@@ -564,8 +563,7 @@ def format_report(result: CompareResult) -> str:
 
     lines = [f"{REPORT_MAGIC} {REPORT_VERSION}"]
     for shard in SHARDS:
-        if shard in result.reference_lambdas:
-            lines.append(f"reference_lambda {shard} {_fmt(result.reference_lambdas[shard])}")
+        lines.append(f"reference_lambda {shard} {_fmt(FULL_SCALE_REFERENCE_LAMBDAS[shard])}")
     for comp in result.shards:
         lines.append("")
         lines.append(f"[shard {comp.shard}]")

@@ -118,8 +118,8 @@ class EncodedBatch:
         return EncodedBatch(self.shard, *(getattr(self, f.name)[idx] for f in fields(self)[1:]))
 
 
-def merge_batches(batches, shard: str = "ALL") -> EncodedBatch:
-    """Concatenate shard batches into one batch labeled `shard`.
+def merge_batches(batches) -> EncodedBatch:
+    """Concatenate shard batches into one batch labeled "ALL".
 
     The bounds baseline trains on all shards together, so it needs the
     per-shard encodings joined back up; feature indices are comparable
@@ -130,7 +130,7 @@ def merge_batches(batches, shard: str = "ALL") -> EncodedBatch:
     if not batches:
         raise DataError("merge_batches needs at least one batch")
     return EncodedBatch(
-        shard,
+        "ALL",
         *(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(EncodedBatch)[1:]),
     )
 

@@ -154,8 +154,8 @@ def shard_index(shard: str) -> int:
 class ShardModel(TrunkModel):
     """One shard's classifier: parameters, class space, and train state."""
 
-    def __init__(self, config, spec, vocab, params, rng, trained=False, train_log=None):
-        super().__init__(config, spec, params, rng, trained, train_log)
+    def __init__(self, config, spec, vocab, params, rng, trained=False):
+        super().__init__(config, spec, params, rng, trained)
         self.vocab = vocab
 
     @classmethod
@@ -173,10 +173,11 @@ class ShardModel(TrunkModel):
     def n_classes(self) -> int:
         return len(self.vocab)
 
-    def train_step(self, categorical, continuous, targets, rng) -> float:
-        """One SGD step on a batch; returns the loss before the update."""
+    def train_step(self, categorical, continuous, targets) -> float:
+        """One SGD step on a batch, drawing its negatives from the model's
+        rng; returns the loss before the update."""
         negatives = sample_negatives(
-            rng, self.n_classes, targets, self.config.num_negatives
+            self.rng, self.n_classes, targets, self.config.num_negatives
         )
         loss, grads, logits = sampled_loss_and_grads(
             self.params, self.spec, categorical, continuous, targets, negatives
@@ -210,9 +211,7 @@ class ShardModel(TrunkModel):
         val, val_y = batch.take(val_rows), targets[val_rows]
 
         def step(rows):
-            loss = self.train_step(
-                batch.categorical[rows], batch.continuous[rows], targets[rows], self.rng
-            )
+            loss = self.train_step(batch.categorical[rows], batch.continuous[rows], targets[rows])
             return {"train_loss": loss}
 
         def validate(epoch):

@@ -204,13 +204,13 @@ class TrunkModel:
     define fit and train_step themselves, so the benchmark's tracing can
     wrap each class's own methods."""
 
-    def __init__(self, config, spec, params, rng, trained=False, train_log=None):
+    def __init__(self, config, spec, params, rng, trained=False):
         self.config = config
         self.spec = spec
         self.params = params
         self.rng = rng
         self.trained = trained
-        self.train_log = [] if train_log is None else train_log
+        self.train_log = []
         self.best_epoch = -1
 
     def head_outputs(self, categorical, continuous):

@@ -15,9 +15,11 @@ import cellsearch
 from cellsearch import cli
 from cellsearch.cli import main
 from cellsearch.datagen import load_dataset, read_events
+from cellsearch.errors import NumericError
 from cellsearch.evaluation import format_report, run_compare
 from cellsearch.features import SHARDS, encode_events, fit_pipeline
 from cellsearch.labels import build_vocab
+from cellsearch.model import ShardModel
 
 # The criterion-10 run, the same configs as conftest's `stack`.
 CFG = {"data": asdict(SMALL), "train": asdict(SMALL_TRAIN), "bounds": asdict(SMALL_BOUNDS)}
@@ -176,7 +178,6 @@ def test_exit_codes_for_missing_inputs(tmp_path, capsys):
         ("gen", 'data.seed="abc"'),
         ("gen", "data.seed=1.5"),
         ("gen", "data.n_destinations=6.0"),
-        ("gen", "eval.chunk_size=true"),
         ("train", "train.epochs=2.5"),
         ("train", "train.batch_size=64.0"),
         ("train", "bounds.alpha=NaN"),
@@ -241,15 +242,46 @@ def test_train_failing_mid_fit_writes_nothing(fresh_data, capsys):
     assert _trained_artifacts(workdir) == []
 
 
-def _run_cli(command, cfg_path):
+def _run_cli(command, cfg_path, *extra, cwd=None):
     """Run one command in a separate process, so that an uncaught
     exception prints its traceback to stderr instead of failing inside
     the test."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cellsearch.__file__)))
     return subprocess.run(
-        [sys.executable, "-m", "cellsearch.cli", command, "--config", str(cfg_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-m", "cellsearch.cli", command, "--config", str(cfg_path), *extra],
+        capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
     )
+
+
+def _tree(root):
+    """Every path under root with the bytes of each file."""
+    return sorted(
+        (str(p.relative_to(root)), p.read_bytes() if p.is_file() else None) for p in root.rglob("*")
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["config-not-utf8", "config-is-a-directory", "workdir-is-a-file", "workdir-under-a-file"]
+)
+def test_unusable_config_input_is_a_config_error(tmp_path, case):
+    cfg_path = tmp_path / "cfg.json"
+    extra = ()
+    if case == "config-not-utf8":
+        cfg_path.write_bytes(b'\xff\xfe{"workdir": "x"}')
+    elif case == "config-is-a-directory":
+        cfg_path.mkdir()
+    else:
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        cfg_path.write_text(json.dumps(CFG))
+        workdir = taken / "run" if case == "workdir-under-a-file" else taken
+        extra = ("--set", f"workdir={workdir}")
+    before = _tree(tmp_path)
+    proc = _run_cli("gen", cfg_path, *extra, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert "Traceback" not in proc.stderr
+    assert _tree(tmp_path) == before
 
 
 def _set_tsv_field(path, row, field, value):
@@ -305,6 +337,25 @@ def test_train_with_zero_epochs_writes_every_artifact(fresh_data, capsys):
         + [f"vocab_{s}.txt" for s in SHARDS]
         + [f"model_{s}.ckpt" for s in SHARDS]
     )
+
+
+def test_numeric_failure_prints_the_last_epochs(fresh_data, monkeypatch, capsys):
+    cfg_path, workdir = fresh_data
+    log = [{"val_ce": 6.0 - k, "epoch": k, "train_loss": 5.0 - k} for k in range(4)]
+
+    def diverge(model, batch):
+        raise NumericError("training loss diverged", log=log)
+
+    monkeypatch.setattr(ShardModel, "fit", diverge)
+    assert main(["train", "--config", str(cfg_path)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["numeric error: training loss diverged"] + [
+        json.dumps(entry, sort_keys=True) for entry in log[1:]
+    ]
+    log.clear()
+    assert main(["train", "--config", str(cfg_path)]) == 4
+    assert capsys.readouterr().err.splitlines() == ["numeric error: training loss diverged", "no epoch finished"]
+    assert _trained_artifacts(workdir) == []
 
 
 def _replace_middle_line(path):

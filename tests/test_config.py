@@ -1,6 +1,7 @@
 """Run-config loading: defaults, file merge, dotted overrides, validation."""
 
 import json
+import os
 
 import pytest
 
@@ -26,6 +27,18 @@ def test_default_document_round_trips_through_json():
     doc = default_document()
     again = json.loads(json.dumps(doc))
     assert again == doc
+
+
+def test_readme_minimal_config_loads(tmp_path):
+    assert list(default_document()) == ["workdir", "full_scale", "data", "train", "bounds"]
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(repo, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    block = readme.split("A minimal config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    path = tmp_path / "minimal.json"
+    path.write_text(block)
+    run = load_run_config(path)
+    assert run.workdir == "run1" and run.train.num_negatives == 512
 
 
 def test_file_and_overrides_merge(tmp_path):
@@ -74,6 +87,9 @@ def test_unknown_keys_rejected(tmp_path):
         load_run_config(overrides=["nope.deep=1"])
     with pytest.raises(ConfigError):
         load_run_config(overrides=["train=1"])
+    # Evaluation chunks by a constant; the section that set it is gone.
+    with pytest.raises(ConfigError, match="unknown config key 'eval'"):
+        load_run_config(overrides=["eval.chunk_size=0"])
 
 
 def test_domain_validation_surfaces_as_config_error():
@@ -81,8 +97,6 @@ def test_domain_validation_surfaces_as_config_error():
         load_run_config(overrides=["train.learning_rate=-1"])
     with pytest.raises(ConfigError):
         load_run_config(overrides=["data.n_destinations=1"])
-    with pytest.raises(ConfigError):
-        load_run_config(overrides=["eval.chunk_size=0"])
     with pytest.raises(ConfigError):
         load_run_config(overrides=["full_scale=7"])
     with pytest.raises(ConfigError):

@@ -35,8 +35,9 @@ def test_lambda_grid_is_log_spaced():
     assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
 
-def test_sweep_matches_naive_recomputation(stack):
+def test_sweep_matches_naive_recomputation(stack, monkeypatch):
     world, pipeline, eval_batches, models, bmodel, index = stack
+    monkeypatch.setattr("cellsearch.evaluation.EVAL_CHUNK", 7)  # cross chunk boundaries
     batch = eval_batches["EU"].take(slice(0, 48))
     # A copy in which every third search asks for 12 guests, more than any
     # listing seats, and one asks for 10**12: such searches retrieve no
@@ -50,7 +51,7 @@ def test_sweep_matches_naive_recomputation(stack):
 
 def _check_sweep_against_naive(model, batch, index):
     lambdas = np.array([1e-4, 1e-3, 5e-3, 2e-2, 1e-1])
-    result = sweep_shard(model, batch, index, lambdas=lambdas, chunk_size=7)
+    result = sweep_shard(model, batch, index, lambdas=lambdas)
 
     probs = model.predict_probs(batch).astype(np.float64)
     classes = model.vocab.classes
@@ -87,12 +88,13 @@ def _check_sweep_against_naive(model, batch, index):
     assert result.n_classes == len(model.vocab)
 
 
-def test_sweep_dest_weighted_recall_matches_naive(stack):
+def test_sweep_dest_weighted_recall_matches_naive(stack, monkeypatch):
     world, pipeline, eval_batches, models, bmodel, index = stack
+    monkeypatch.setattr("cellsearch.evaluation.EVAL_CHUNK", 11)
     shard = "AMER"
     batch = eval_batches[shard].take(slice(0, 60))
     model = models[shard]
-    result = sweep_shard(model, batch, index, lambdas=np.array([1e-3]), chunk_size=11)
+    result = sweep_shard(model, batch, index, lambdas=np.array([1e-3]))
     probs = model.predict_probs(batch).astype(np.float64)
     classes_set = {int(c): i for i, c in enumerate(model.vocab.classes)}
     per_dest = {}
@@ -113,12 +115,13 @@ def test_sweep_monotone_in_cutoff(stack):
         assert np.all(np.diff(result.mean_retrieved) <= 0)
 
 
-def test_booked_cell_probs_sentinel(stack):
+def test_booked_cell_probs_sentinel(stack, monkeypatch):
     world, pipeline, eval_batches, models, bmodel, index = stack
+    monkeypatch.setattr("cellsearch.evaluation.EVAL_CHUNK", 64)
     shard = "EU"
     batch = eval_batches[shard]
     model = models[shard]
-    bp = booked_cell_probs(model, batch, chunk_size=64)
+    bp = booked_cell_probs(model, batch)
     y = model.vocab.lookup_array(batch.booked_cells)
     assert np.all((bp == -1.0) == (y < 0))
     assert (y < 0).sum() > 0, "fixture should contain OOV booked cells"
@@ -225,7 +228,6 @@ def test_run_compare_matches_recall(stack, compared):
     )
     assert 0.0 <= result.pooled_cell_precision_dest <= 1.0
     assert 0.0 <= result.pooled_baseline_precision_dest <= 1.0
-    assert result.reference_lambdas == FULL_SCALE_REFERENCE_LAMBDAS
 
     gap = result.gap
     dest = next(d for d in world.destinations if d.dest_id == world.gap.dest_id)

@@ -8,7 +8,7 @@ import pytest
 
 from cellsearch.datagen import ListingStore
 from cellsearch.errors import DataError
-from cellsearch.index import ListingIndex, load_index, save_index
+from cellsearch.index import ListingIndex, load_index, save_index, sorted_unique
 from cellsearch.s2geom import GeoRect, cell_from_latlng, cells_from_latlng_vec
 
 
@@ -46,10 +46,10 @@ def brute_force_cells(world, cell_set, num_guests, active_only=True):
     return np.array(sorted(out), dtype=np.int64)
 
 
-def brute_force_rect(world, rect, num_guests, active_only=True):
+def brute_force_rect(world, rect, num_guests):
     out = []
     for lid, lat, lng, capacity, active, _ in listing_rows(world.listings):
-        if active_only and not active:
+        if not active:
             continue
         if capacity < num_guests:
             continue
@@ -114,6 +114,20 @@ def test_retrieve_cells_accepts_arrays_and_empty(index):
     np.testing.assert_array_equal(got, index.retrieve_cells(some))
 
 
+def test_sorted_unique_equals_np_unique():
+    rng = np.random.default_rng(4)
+    cases = [np.empty(0, dtype=np.uint64), np.array([5], dtype=np.uint64), np.zeros(6, dtype=np.uint64)]
+    for n in (2, 17, 1000):
+        cases.append(rng.integers(0, 2**63, n, dtype=np.uint64))
+        cases.append(rng.integers(0, 9, n, dtype=np.uint64))
+        cases.append(np.sort(rng.integers(0, 30, n, dtype=np.uint64)))
+    for values in cases:
+        got = sorted_unique(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_retrieve_cells_rejects_wrong_level(index):
     coarse = cell_from_latlng(10.0, 10.0, 7)
     with pytest.raises(DataError):
@@ -138,9 +152,6 @@ def test_retrieve_rect_matches_brute_force(world, index):
             want = brute_force_rect(world, rect, guests)
             got = index.retrieve_rect(rect, num_guests=guests)
             np.testing.assert_array_equal(np.sort(got), want)
-        want_all = brute_force_rect(world, rect, 1, active_only=False)
-        got_all = index.retrieve_rect(rect, num_guests=1, active_only=False)
-        np.testing.assert_array_equal(np.sort(got_all), want_all)
 
 
 def test_capacity_count_table_matches_brute_force(world, index):

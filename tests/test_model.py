@@ -119,9 +119,8 @@ def test_train_step_returns_pre_update_loss():
     model = tiny_model(num_negatives=3, learning_rate=0.05)
     batch, y = tiny_batch(model, 4, seed=2)
     before = nn.clone_params(model.params)
-    loss = model.train_step(
-        batch.categorical, batch.continuous, y, np.random.default_rng(7)
-    )
+    model.rng = np.random.default_rng(7)
+    loss = model.train_step(batch.categorical, batch.continuous, y)
     negatives = sample_negatives(np.random.default_rng(7), model.n_classes, y, 3)
     ref, _, _ = sampled_loss_and_grads(
         before, model.spec, batch.categorical, batch.continuous, y, negatives
