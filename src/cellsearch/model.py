@@ -30,6 +30,7 @@ from .nn import (
     fit_epochs,
     holdout_split,
     log_softmax,
+    scatter_rows,
     sgd_update,
     trunk_backward,
     trunk_forward,
@@ -70,14 +71,14 @@ def sample_negatives(rng, n_classes, targets, num_negatives) -> np.ndarray:
     Drawn uniformly without replacement from the classes that are not a
     positive of any batch row. Raises when the request cannot be met.
     """
-    distinct = np.unique(targets)
-    pool_size = n_classes - distinct.size
-    if num_negatives > pool_size:
+    free = np.ones(n_classes, dtype=bool)
+    free[targets] = False
+    pool = np.flatnonzero(free)
+    if num_negatives > pool.size:
         raise ConfigError(
-            f"num_negatives={num_negatives} exceeds the {pool_size} classes "
+            f"num_negatives={num_negatives} exceeds the {pool.size} classes "
             "available after excluding the batch positives"
         )
-    pool = np.setdiff1d(np.arange(n_classes), distinct, assume_unique=True)
     return rng.choice(pool, size=num_negatives, replace=False)
 
 
@@ -104,10 +105,9 @@ def sampled_loss_and_grads(params, spec, categorical, continuous, targets, negat
     dlogits[:, 0] -= 1.0
     dlogits /= n
     grads: dict[str, np.ndarray] = {}
-    g_out_w = np.zeros_like(out_w)
-    g_out_b = np.zeros_like(out_b)
     # Positive columns may repeat across rows, so scatter-add per row.
-    np.add.at(g_out_w.T, targets, dlogits[:, :1] * h)
+    g_out_w = scatter_rows(out_w.shape[1], targets, dlogits[:, :1] * h).T
+    g_out_b = np.zeros_like(out_b)
     np.add.at(g_out_b, targets, dlogits[:, 0])
     # Negative columns are distinct, so fancy indexing adds safely.
     g_out_w[:, negatives] += h.T @ dlogits[:, 1:]
@@ -230,9 +230,15 @@ class ShardModel(TrunkModel):
         n = targets.size
         for start in range(0, n, EVAL_CHUNK):
             sl = slice(start, min(start + EVAL_CHUNK, n))
-            logits = self.head_outputs(categorical[sl], continuous[sl])
-            lsm = log_softmax(logits.astype(np.float64))
-            total -= float(lsm[np.arange(targets[sl].size), targets[sl]].sum())
+            # log_softmax's steps, in place on one float64 matrix, reading
+            # only the target entries of the result.
+            shifted = self.head_outputs(categorical[sl], continuous[sl]).astype(
+                np.float64, copy=False
+            )
+            shifted -= shifted.max(axis=1, keepdims=True)
+            picked = shifted[np.arange(targets[sl].size), targets[sl]]
+            np.exp(shifted, out=shifted)
+            total -= float((picked - np.log(shifted.sum(axis=1))).sum())
         return total / n
 
     def eval_cross_entropy(self, batch: EncodedBatch) -> float:

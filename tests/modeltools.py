@@ -127,3 +127,37 @@ def relu_margin_inputs(make_model, make_inputs, floor=1e-3, tries=30):
         if margin > floor:
             return model, args
     raise AssertionError(f"no seed in range({tries}) gave ReLU margin > {floor}")
+
+
+def numerical_gradient(loss_fn, params: dict, eps: float = 1e-5) -> dict:
+    """Central finite differences of loss_fn() w.r.t. every param element.
+
+    loss_fn reads params by reference, so elements are perturbed in
+    place and restored. Meant for small float64 models.
+    """
+    grads = {}
+    for name, arr in params.items():
+        g = np.zeros_like(arr)
+        flat = arr.reshape(-1)
+        gflat = g.reshape(-1)
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + eps
+            hi = loss_fn()
+            flat[k] = orig - eps
+            lo = loss_fn()
+            flat[k] = orig
+            gflat[k] = (hi - lo) / (2.0 * eps)
+        grads[name] = g
+    return grads
+
+
+def gradient_rel_errors(analytic: dict, numeric: dict) -> dict:
+    """Per-parameter worst relative error, with a unit floor on the scale."""
+    out = {}
+    for name in analytic:
+        a = analytic[name]
+        n = numeric[name]
+        scale = np.maximum(1.0, np.abs(a) + np.abs(n))
+        out[name] = float(np.max(np.abs(a - n) / scale))
+    return out

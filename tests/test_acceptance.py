@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from modeltools import tiny_batch, tiny_bounds, tiny_model
+from modeltools import gradient_rel_errors, numerical_gradient, tiny_batch, tiny_bounds, tiny_model
 from test_baseline import kink_margin, random_inputs
 
 from cellsearch import nn
@@ -248,8 +248,8 @@ def test_criterion_5_gradient_checks():
         )
         return loss
 
-    numeric = nn.numerical_gradient(sampled_loss, model.params)
-    worst["sampled_softmax"] = max(nn.gradient_rel_errors(grads, numeric).values())
+    numeric = numerical_gradient(sampled_loss, model.params)
+    worst["sampled_softmax"] = max(gradient_rel_errors(grads, numeric).values())
 
     found = None
     for seed in range(40):
@@ -270,8 +270,8 @@ def test_criterion_5_gradient_checks():
         )
         return loss
 
-    bnumeric = nn.numerical_gradient(bounds_loss, bmodel.params)
-    worst["bounds"] = max(nn.gradient_rel_errors(bgrads, bnumeric).values())
+    bnumeric = numerical_gradient(bounds_loss, bmodel.params)
+    worst["bounds"] = max(gradient_rel_errors(bgrads, bnumeric).values())
 
     ok = all(v < 1e-4 for v in worst.values())
     _verdict(

@@ -3,7 +3,7 @@ decomposition, hinge-driven box growth, and rect construction."""
 
 import numpy as np
 import pytest
-from modeltools import tiny_batch, tiny_bounds, tiny_model
+from modeltools import gradient_rel_errors, numerical_gradient, tiny_batch, tiny_bounds, tiny_model
 
 from cellsearch import nn
 from cellsearch.baseline import (
@@ -62,8 +62,8 @@ def test_bounds_gradients_match_finite_differences():
         )
         return loss
 
-    numeric = nn.numerical_gradient(loss_fn, model.params)
-    errs = nn.gradient_rel_errors(grads, numeric)
+    numeric = numerical_gradient(loss_fn, model.params)
+    errs = gradient_rel_errors(grads, numeric)
     assert max(errs.values()) < 1e-6
 
 

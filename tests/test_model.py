@@ -6,8 +6,17 @@ import math
 
 import numpy as np
 import pytest
-from modeltools import VAL_KEYS, make_vocab, tiny_batch, tiny_fit, tiny_model
+from modeltools import (
+    VAL_KEYS,
+    gradient_rel_errors,
+    make_vocab,
+    numerical_gradient,
+    tiny_batch,
+    tiny_fit,
+    tiny_model,
+)
 
+from cellsearch import model as model_module
 from cellsearch import nn
 from cellsearch.errors import ConfigError, DataError, NumericError
 from cellsearch.features import encode_events, fit_pipeline
@@ -62,8 +71,8 @@ def test_sampled_softmax_gradients_match_finite_differences():
         )
         return loss
 
-    numeric = nn.numerical_gradient(loss_fn, model.params)
-    errs = nn.gradient_rel_errors(grads, numeric)
+    numeric = numerical_gradient(loss_fn, model.params)
+    errs = gradient_rel_errors(grads, numeric)
     assert max(errs.values()) < 1e-6
 
 
@@ -80,8 +89,8 @@ def test_full_softmax_gradients_match_finite_differences():
         )
         return loss
 
-    numeric = nn.numerical_gradient(loss_fn, model.params)
-    errs = nn.gradient_rel_errors(grads, numeric)
+    numeric = numerical_gradient(loss_fn, model.params)
+    errs = gradient_rel_errors(grads, numeric)
     assert max(errs.values()) < 1e-4
 
 
@@ -113,6 +122,77 @@ def test_negative_sampling_contract():
     sample_negatives(rng, 10, y, 8)
     with pytest.raises(ConfigError):
         sample_negatives(rng, 10, y, 9)
+
+
+def setdiff1d_negatives(rng, n_classes, targets, num_negatives):
+    """sample_negatives with the pool built by np.unique and np.setdiff1d:
+    the reference the masked pool must match draw for draw."""
+    distinct = np.unique(targets)
+    pool_size = n_classes - distinct.size
+    if num_negatives > pool_size:
+        raise ConfigError(
+            f"num_negatives={num_negatives} exceeds the {pool_size} classes "
+            "available after excluding the batch positives"
+        )
+    pool = np.setdiff1d(np.arange(n_classes), distinct, assume_unique=True)
+    return rng.choice(pool, size=num_negatives, replace=False)
+
+
+def test_negative_pool_matches_setdiff1d_pool():
+    for seed in range(50):
+        setup = np.random.default_rng(seed)
+        n_classes = int(setup.integers(2, 80))
+        # Up to twice as many rows as classes, so targets repeat.
+        y = setup.integers(0, n_classes, size=int(setup.integers(1, 2 * n_classes)))
+        pool_size = n_classes - np.unique(y).size
+        if pool_size:
+            k = int(setup.integers(1, pool_size + 1))
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_negatives(ours, n_classes, y, k)
+            want = setdiff1d_negatives(ref, n_classes, y, k)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert ours.bit_generator.state == ref.bit_generator.state
+        with pytest.raises(ConfigError) as got_err:
+            sample_negatives(np.random.default_rng(seed), n_classes, y, pool_size + 1)
+        with pytest.raises(ConfigError) as want_err:
+            setdiff1d_negatives(np.random.default_rng(seed), n_classes, y, pool_size + 1)
+        assert str(got_err.value) == str(want_err.value)
+
+
+def per_row_output_grads(params, spec, categorical, continuous, targets, negatives):
+    """The out_w/out_b gradients of sampled_loss_and_grads, with the
+    positive columns scattered by a 2-d np.add.at into out_w's transpose:
+    the reference the flat scatter must match bit for bit."""
+    h, _ = nn.trunk_forward(params, spec, categorical, continuous)
+    out_w, out_b = params["out_w"], params["out_b"]
+    pos_logit = np.einsum("nh,hn->n", h, out_w[:, targets]) + out_b[targets]
+    neg_logits = h @ out_w[:, negatives] + out_b[negatives]
+    lsm = nn.log_softmax(np.concatenate([pos_logit[:, None], neg_logits], axis=1))
+    dlogits = np.exp(lsm)
+    dlogits[:, 0] -= 1.0
+    dlogits /= targets.size
+    g_out_w = np.zeros_like(out_w)
+    g_out_b = np.zeros_like(out_b)
+    np.add.at(g_out_w.T, targets, dlogits[:, :1] * h)
+    np.add.at(g_out_b, targets, dlogits[:, 0])
+    g_out_w[:, negatives] += h.T @ dlogits[:, 1:]
+    g_out_b[negatives] += dlogits[:, 1:].sum(axis=0)
+    return g_out_w, g_out_b
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_sampled_output_grads_match_per_row_scatter(dtype):
+    model = tiny_model(n_classes=40, hidden=(6, 5), dtype=dtype, seed=4, num_negatives=20)
+    # 300 rows over 4 classes: every positive column repeats heavily.
+    y = np.random.default_rng(8).integers(0, 4, size=300)
+    batch, _ = tiny_batch(model, 300, seed=9, targets=y)
+    negatives = sample_negatives(np.random.default_rng(2), model.n_classes, y, 20)
+    args = (model.params, model.spec, batch.categorical, batch.continuous, y, negatives)
+    _, grads, _ = sampled_loss_and_grads(*args)
+    ref_w, ref_b = per_row_output_grads(*args)
+    for got, ref in ((grads["out_w"], ref_w), (grads["out_b"], ref_b)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_train_step_returns_pre_update_loss():
@@ -272,6 +352,26 @@ def test_eval_cross_entropy_matches_naive_recompute():
         z = sum(math.exp(v) for v in logits)
         total -= math.log(math.exp(logits[y[r]]) / z)
     assert got == pytest.approx(total / 9.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_cross_entropy_equals_log_softmax_formula(monkeypatch, dtype):
+    # Chunks of 4 over 9 rows: two full chunks and a short one. Few rows
+    # per call keep the running total small, so that a change in the last
+    # bit of one chunk's sum shows in the result; 30 models give many
+    # chances for one to.
+    monkeypatch.setattr(model_module, "EVAL_CHUNK", 4)
+    for seed in range(30):
+        model = tiny_model(n_classes=40, dtype=dtype, seed=seed)
+        model.params["out_w"] *= 5.0  # logits several nats apart
+        batch, y = tiny_batch(model, 9, seed=seed + 100)
+        total = 0.0
+        for start in range(0, 9, 4):
+            sl = slice(start, min(start + 4, 9))
+            logits = model.head_outputs(batch.categorical[sl], batch.continuous[sl])
+            lsm = nn.log_softmax(logits.astype(np.float64))
+            total -= float(lsm[np.arange(y[sl].size), y[sl]].sum())
+        assert model._cross_entropy(batch.categorical, batch.continuous, y) == total / 9
 
 
 def test_predict_probs_normalized():

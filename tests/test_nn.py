@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from modeltools import gradient_rel_errors, numerical_gradient
 
 from cellsearch import nn
 from cellsearch.errors import ConfigError, NumericError
@@ -71,8 +72,8 @@ def test_trunk_gradients_match_finite_differences():
     h, cache = nn.trunk_forward(params, spec, cat, cont)
     grads = {}
     nn.trunk_backward(params, spec, cache, h.copy(), grads)
-    numeric = nn.numerical_gradient(loss_fn, params)
-    errs = nn.gradient_rel_errors(grads, numeric)
+    numeric = numerical_gradient(loss_fn, params)
+    errs = gradient_rel_errors(grads, numeric)
     assert set(errs) == set(params)
     assert max(errs.values()) < 1e-6
 
@@ -88,6 +89,72 @@ def test_unused_embedding_rows_get_zero_gradient():
     nn.trunk_backward(params, spec, cache, h.copy(), grads)
     assert np.all(grads["emb_color"][1:] == 0.0)
     assert np.all(grads["emb_shape"][1:] == 0.0)
+
+
+def per_table_trunk_backward(params, spec, cache, dh):
+    """trunk_backward with one 2-d np.add.at per embedding table: the
+    reference the flat scatter must match bit for bit."""
+    grads = {}
+    for i in range(len(spec.hidden), 0, -1):
+        dz = dh * (cache.pre_acts[i - 1] > 0)
+        grads[f"w{i}"] = cache.layer_inputs[i - 1].T @ dz
+        grads[f"b{i}"] = dz.sum(axis=0)
+        dh = dz @ params[f"w{i}"].T
+    d = spec.emb_dim
+    for j, name in enumerate(spec.emb_names):
+        g = np.zeros_like(params[f"emb_{name}"])
+        np.add.at(g, cache.categorical[:, j], dh[:, j * d : (j + 1) * d])
+        grads[f"emb_{name}"] = g
+    return grads
+
+
+def wide_magnitudes(rng, shape, dtype):
+    """Normal values scaled by 10^-6 .. 10^6, so that a float sum depends
+    on the order of its terms; about a fifth of the entries are -0.0."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+    values[rng.random(shape) < 0.2] = -0.0
+    return values.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_rows_matches_2d_add_at(dtype):
+    rng = np.random.default_rng(5)
+    for n_rows, n in ((1, 300), (40, 64), (3, 500)):
+        rows = rng.integers(0, n_rows, size=n)
+        values = wide_magnitudes(rng, (n, 5), dtype)
+        values[rows == 1] = -0.0  # row 1 receives only negative zeros
+        ref = np.zeros((n_rows, 5), dtype=dtype)
+        np.add.at(ref, rows, values)
+        got = nn.scatter_rows(n_rows, rows, values)
+        assert got.dtype == dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    # The data are order-sensitive: the reversed scatter sums other bits.
+    backwards = np.zeros((n_rows, 5), dtype=dtype)
+    np.add.at(backwards, rows[::-1], values[::-1])
+    assert backwards.tobytes() != ref.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_trunk_backward_embedding_grads_match_per_table_scatter(dtype):
+    # A one-row table, a two-row one and a wider one whose rows repeat
+    # heavily: 500 rows land on the first three of its 50 rows.
+    spec = nn.TrunkSpec(("one", "two", "wide"), (1, 2, 50), 4, 2, (8, 6))
+    rng = np.random.default_rng(6)
+    params = nn.init_trunk(rng, spec, dtype)
+    cat = np.stack(
+        [np.zeros(500, dtype=np.int64), rng.integers(0, 2, 500), rng.integers(0, 3, 500)],
+        axis=1,
+    )
+    cont = rng.normal(size=(500, 2))
+    _, cache = nn.trunk_forward(params, spec, cat, cont)
+    dh = wide_magnitudes(rng, (500, 6), dtype)
+    grads = {}
+    nn.trunk_backward(params, spec, cache, dh, grads)
+    ref = per_table_trunk_backward(params, spec, cache, dh)
+    assert set(grads) == set(ref)
+    for name in ref:
+        assert grads[name].dtype == ref[name].dtype and grads[name].shape == ref[name].shape
+        assert grads[name].tobytes() == ref[name].tobytes(), name
 
 
 def test_log_softmax_stable_and_consistent():
@@ -116,7 +183,7 @@ def test_softplus_and_sigmoid():
 
 def test_numerical_gradient_on_quadratic():
     params = {"a": np.array([1.0, -2.0, 3.0])}
-    grads = nn.numerical_gradient(
+    grads = numerical_gradient(
         lambda: float((params["a"] ** 2).sum()), params
     )
     np.testing.assert_allclose(grads["a"], 2.0 * params["a"], atol=1e-8)
