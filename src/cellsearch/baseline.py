@@ -32,6 +32,7 @@ from .nn import (
     ensure_finite,
     fit_epochs,
     holdout_split,
+    row_chunks,
     sgd_update,
     sigmoid,
     softplus,
@@ -47,8 +48,6 @@ BOUNDS_STREAM = 3
 MIN_EXTENT_DEG = 1e-4
 
 BETA_GRID = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
-
-EVAL_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -182,8 +181,7 @@ class BoundsModel(TrunkModel):
         """(loss, miss_term, size_term) without touching parameters."""
         total = np.zeros(3)
         n = targets.shape[0]
-        for start in range(0, n, EVAL_CHUNK):
-            sl = slice(start, min(start + EVAL_CHUNK, n))
+        for sl in row_chunks(n):
             m = sl.stop - sl.start
             loss, _, (miss, size) = bounds_loss_and_grads(
                 self.params,

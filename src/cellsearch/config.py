@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from .baseline import BoundsConfig, full_scale_bounds_config
 from .datagen import GenConfig
 from .errors import ConfigError, DataError
-from .evaluation import EVAL_CHUNK
 from .model import TrainConfig, full_scale_config
+from .nn import EVAL_CHUNK
 
 DATA_DIR = "data"
 PIPELINE_FILE = "pipeline.json"

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -810,16 +810,13 @@ def read_events(path) -> list[SearchEvent]:
 
 
 def write_manifest(path, cfg: GenConfig, world: World, n_train: int, n_eval: int):
+    """The generator's config, with the three counts of the data written,
+    and the world's gap band, popularity and file names."""
     doc = {
-        "format_version": 1,
-        "seed": cfg.seed,
-        "n_destinations": cfg.n_destinations,
+        **asdict(cfg),
         "n_listings": len(world.listings),
         "n_train_events": n_train,
         "n_eval_events": n_eval,
-        "outlier_rate": cfg.outlier_rate,
-        "pan_discovery_rate": cfg.pan_discovery_rate,
-        "continent_mix": list(cfg.continent_mix),
         "gap_dest_id": world.gap.dest_id,
         "gap_rect": [
             world.gap.rect.lat_lo,
@@ -836,8 +833,14 @@ def write_manifest(path, cfg: GenConfig, world: World, n_train: int, n_eval: int
             "eval_events": "eval_events.tsv",
         },
     }
+    write_json_artifact(path, doc)
+
+
+def write_json_artifact(path, doc: dict) -> None:
+    """Write doc as a format-version-1 artifact file: indented JSON with
+    sorted keys, the one rendering that read_json_artifact reads."""
     with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
+        json.dump({**doc, "format_version": 1}, f, indent=1, sort_keys=True)
         f.write("\n")
 
 
@@ -872,16 +875,8 @@ def load_dataset(data_dir) -> World:
     path = os.path.join(data_dir, "manifest.json")
     doc = read_json_artifact(path, "manifest")
     try:
-        cfg = GenConfig(
-            seed=doc["seed"],
-            n_destinations=doc["n_destinations"],
-            n_listings=doc["n_listings"],
-            n_train_events=doc["n_train_events"],
-            n_eval_events=doc["n_eval_events"],
-            outlier_rate=doc["outlier_rate"],
-            pan_discovery_rate=doc["pan_discovery_rate"],
-            continent_mix=tuple(doc["continent_mix"]),
-        )
+        values = {f.name: doc[f.name] for f in fields(GenConfig)}
+        cfg = GenConfig(**values | {"continent_mix": tuple(values["continent_mix"])})
         gap = GapInfo(
             doc["gap_dest_id"],
             GeoRect(*doc["gap_rect"]),

@@ -48,13 +48,10 @@ from .features import SHARDS, EncodedBatch
 from .index import ListingIndex, sorted_unique
 from .labels import RETRIEVAL_LEVEL
 from .model import ShardModel
+from .nn import row_chunks
 from .s2geom import cover_rects_raw
 
 LAMBDA_GRID = np.logspace(-5.0, -1.0, 40)
-
-# Evaluation searches scored per predict_probs call, which bounds the
-# (rows, classes) probability block held at once.
-EVAL_CHUNK = 512
 
 # Operating thresholds chosen on the full-scale configuration, recorded
 # for reference next to sweep output. They are not asserted anywhere:
@@ -107,7 +104,6 @@ class SweepResult:
     mean_retrieved: np.ndarray
     dest_weighted_recall: np.ndarray
     dest_precisions: np.ndarray  # (n_dests, n_lambdas)
-    booked_probs: np.ndarray  # (n_events,) probability of the booked cell, -1 if OOV
     n_events: int
     n_classes: int
     oov_events: int
@@ -139,10 +135,8 @@ def _summary(hits, cells, listings, didx, dest_precisions) -> dict:
 
 def _prob_chunks(model: ShardModel, batch: EncodedBatch):
     """(lo, hi, float64 class probabilities of rows lo:hi) chunk by chunk."""
-    n = len(batch)
-    for lo in range(0, n, EVAL_CHUNK):
-        hi = min(lo + EVAL_CHUNK, n)
-        yield lo, hi, model.predict_probs(batch.take(slice(lo, hi))).astype(np.float64)
+    for sl in row_chunks(len(batch)):
+        yield sl.start, sl.stop, model.predict_probs(batch.take(sl)).astype(np.float64)
 
 
 def _pick_booked(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -254,7 +248,6 @@ def sweep_shard(
         lambdas=lam,
         **_summary(hits, cell_counts, listing_counts, didx, dest_precisions),
         dest_precisions=dest_precisions,
-        booked_probs=booked_probs,
         n_events=n,
         n_classes=k,
         oov_events=int((y < 0).sum()),
@@ -522,24 +515,11 @@ def run_compare(
 
 
 def sweep_rows(result: SweepResult) -> list:
-    """CSV data rows for one sweep, shared verbatim by the chart metadata."""
-
-    rows = []
-    for j in range(result.lambdas.size):
-        rows.append(
-            ",".join(
-                (
-                    result.shard,
-                    _fmt(result.lambdas[j]),
-                    _fmt(result.recall[j]),
-                    _fmt(result.precision_dest[j]),
-                    _fmt(result.precision_event[j]),
-                    _fmt(result.mean_cells[j]),
-                    _fmt(result.mean_retrieved[j]),
-                )
-            )
-        )
-    return rows
+    """CSV data rows for one sweep, in SWEEP_CSV_COLUMNS order, shared
+    verbatim by the chart metadata."""
+    # The shard and the cutoff lead; each later column is the field of its name.
+    columns = [result.lambdas, *(getattr(result, name) for name in SWEEP_CSV_COLUMNS[2:])]
+    return [",".join([result.shard, *(_fmt(col[j]) for col in columns)]) for j in range(result.lambdas.size)]
 
 
 def sweep_csv_text(results) -> str:

@@ -11,12 +11,11 @@ Sharding is by destination continent.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datagen import CONTINENTS, Destination, SearchEvent, read_json_artifact
+from .datagen import CONTINENTS, Destination, SearchEvent, read_json_artifact, write_json_artifact
 from .errors import DataError
 from .s2geom import cell_from_latlng
 
@@ -161,8 +160,7 @@ def encode_events(
 
 
 def save_pipeline(path, pipeline: FeaturePipeline):
-    doc = {
-        "format_version": 1,
+    write_json_artifact(path, {
         "cell_levels": list(CELL_LEVELS),
         "continuous": {
             "names": list(CONTINUOUS_FEATURES),
@@ -174,10 +172,7 @@ def save_pipeline(path, pipeline: FeaturePipeline):
             name: [str(v) for v in sorted(vocab, key=lambda k: vocab[k])]
             for name, vocab in pipeline.vocabs.items()
         },
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    })
 
 
 def load_pipeline(path) -> FeaturePipeline:

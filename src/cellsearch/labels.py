@@ -12,20 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, data_file
-from .s2geom import num_cells_at_level
+from .s2geom import num_cells_at_level, valid_at_level
 
 # The grid level that classes, listing postings and rectangle coverings
 # share; every module that works at that level imports it from here.
 RETRIEVAL_LEVEL = 11
-_SENTINEL = 1 << (60 - 2 * RETRIEVAL_LEVEL)
 
 
 def retrieval_cell_mask(raws) -> np.ndarray:
-    """Which raw uint64 ids are valid retrieval-level cells: face below 6,
-    the sentinel bit at the retrieval level and every lower bit zero."""
-    raws = np.asarray(raws, dtype=np.uint64)
-    low_bits = raws & np.uint64(2 * _SENTINEL - 1)  # the sentinel and every bit below it
-    return ((raws >> np.uint64(61)) < np.uint64(6)) & (low_bits == np.uint64(_SENTINEL))
+    """Which raw uint64 ids are valid retrieval-level cells (the s2geom
+    rule, valid_at_level, bound to RETRIEVAL_LEVEL)."""
+    return valid_at_level(raws, RETRIEVAL_LEVEL)
 
 
 def is_retrieval_cell(raw: int) -> bool:
@@ -42,7 +39,7 @@ class LabelVocabulary:
         if not retrieval_cell_mask(classes).all():
             raise DataError("vocabulary cells must be valid retrieval-level cell ids")
         self.shard = shard
-        self.classes = np.sort(np.unique(classes.astype(np.uint64)))
+        self.classes = np.unique(classes.astype(np.uint64))
         self.diagnostics = {"non_retrieval_level_lookups": 0}
 
     def __len__(self) -> int:

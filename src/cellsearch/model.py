@@ -30,14 +30,13 @@ from .nn import (
     fit_epochs,
     holdout_split,
     log_softmax,
+    row_chunks,
     scatter_rows,
     sgd_update,
     trunk_backward,
     trunk_forward,
     validate_trunk_config,
 )
-
-EVAL_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -228,8 +227,7 @@ class ShardModel(TrunkModel):
         so the metric is not polluted by accumulation rounding."""
         total = 0.0
         n = targets.size
-        for start in range(0, n, EVAL_CHUNK):
-            sl = slice(start, min(start + EVAL_CHUNK, n))
+        for sl in row_chunks(n):
             # log_softmax's steps, in place on one float64 matrix, reading
             # only the target entries of the result.
             shifted = self.head_outputs(categorical[sl], continuous[sl]).astype(

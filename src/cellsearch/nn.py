@@ -33,6 +33,10 @@ DTYPES = {"float32": np.float32, "float64": np.float64}
 # Trunk widths of the production-sized models (`full_scale`).
 FULL_SCALE_HIDDEN = (1024, 2056, 1024, 256)
 
+# Rows per forward pass when a trained model scores many rows (holdout
+# losses, evaluation), which bounds the (rows, outputs) block held at once.
+EVAL_CHUNK = 512
+
 
 def glorot_limit(fan_in: int, fan_out: int) -> float:
     return math.sqrt(6.0 / (fan_in + fan_out))
@@ -268,6 +272,12 @@ def sgd_update(params: dict, grads: dict, learning_rate: float):
 
 def clone_params(params: dict) -> dict:
     return {name: arr.copy() for name, arr in params.items()}
+
+
+def row_chunks(n: int):
+    """Slices of n rows in order, EVAL_CHUNK rows each but the last."""
+    for lo in range(0, n, EVAL_CHUNK):
+        yield slice(lo, min(lo + EVAL_CHUNK, n))
 
 
 def holdout_split(rng, n: int):

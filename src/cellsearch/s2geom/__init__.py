@@ -12,6 +12,7 @@ from .cellid import (
     check_level,
     is_valid_raw,
     num_cells_at_level,
+    valid_at_level,
 )
 from .region import GeoRect, cover_rect_raw, cover_rects_raw, rect_intersects_cells
 
@@ -31,4 +32,5 @@ __all__ = [
     "is_valid_raw",
     "num_cells_at_level",
     "rect_intersects_cells",
+    "valid_at_level",
 ]

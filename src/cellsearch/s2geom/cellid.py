@@ -164,11 +164,27 @@ def cell_from_latlng(lat: float, lng: float, level: int) -> CellId:
     """The level-L cell containing a lat/lng point (degrees)."""
     check_level(level)
     point = LatLng(float(lat), float(lng))  # validates ranges / finiteness
-    xyz = transforms.latlng_to_xyz(point.lat, point.lng)
-    face, u, v = transforms.xyz_to_face_uv(xyz)
-    i = int(transforms.st_to_ij(transforms.uv_to_st(u), level))
-    j = int(transforms.st_to_ij(transforms.uv_to_st(v), level))
-    return cell_from_raw_ij(int(face), i, j, level)
+    face, i, j = face_ij(point.lat, point.lng, level)
+    return cell_from_raw_ij(int(face), int(i), int(j), level)
+
+
+def face_ij(lat, lng, level: int):
+    """(face, i, j) of the level-L cells holding lat/lng points (degrees),
+    as int64 arrays shaped like the inputs. Inputs are not
+    range-validated; callers own their arrays."""
+    face, u, v = transforms.xyz_to_face_uv(transforms.latlng_to_xyz(lat, lng))
+    i = transforms.st_to_ij(transforms.uv_to_st(u), level)
+    j = transforms.st_to_ij(transforms.uv_to_st(v), level)
+    return face, i, j
+
+
+def _raw_ids(face, pos, level: int) -> np.ndarray:
+    """uint64 ids of the level-L cells at Hilbert positions pos on faces face."""
+    return (
+        (face.astype(np.uint64) << np.uint64(FACE_SHIFT))
+        | (pos.astype(np.uint64) << np.uint64(61 - 2 * level))
+        | np.uint64(1 << (60 - 2 * level))
+    )
 
 
 def cells_from_latlng_vec(lat, lng, level: int) -> np.ndarray:
@@ -177,17 +193,29 @@ def cells_from_latlng_vec(lat, lng, level: int) -> np.ndarray:
     Inputs are not range-validated; callers own their arrays.
     """
     check_level(level)
-    xyz = transforms.latlng_to_xyz(lat, lng)
-    face, u, v = transforms.xyz_to_face_uv(xyz)
-    i = transforms.st_to_ij(transforms.uv_to_st(u), level)
-    j = transforms.st_to_ij(transforms.uv_to_st(v), level)
+    face, i, j = face_ij(lat, lng, level)
+    return _raw_ids(face, hilbert.xy_to_position_vec(level, i, j, face & hilbert.SWAP_MASK), level)
+
+
+def descendant_ids(face, i, j, level: int, target: int) -> np.ndarray:
+    """uint64 ids of every level-target descendant of the level-L cells
+    given as (face, i, j) 1-d arrays, target >= level: cell by cell, each
+    cell's 4**(target - level) descendants in ascending order, the one run
+    of Hilbert positions under it. At target == level, the cells' own ids."""
+    shift = 2 * (target - level)
     pos = hilbert.xy_to_position_vec(level, i, j, face & hilbert.SWAP_MASK)
-    raw = (
-        (face.astype(np.uint64) << np.uint64(FACE_SHIFT))
-        | (pos.astype(np.uint64) << np.uint64(61 - 2 * level))
-        | np.uint64(1 << (60 - 2 * level))
-    )
-    return raw
+    pos = (pos[:, None] << shift) + np.arange(1 << shift, dtype=np.int64)
+    return _raw_ids(np.repeat(face, 1 << shift), pos.ravel(), target)
+
+
+def valid_at_level(raws, level: int) -> np.ndarray:
+    """Which raw uint64 ids are valid cells at the level: face below 6, the
+    level's sentinel bit set and every bit below it zero."""
+    check_level(level)
+    raws = np.asarray(raws, dtype=np.uint64)
+    sentinel = 1 << (60 - 2 * level)
+    low_bits = raws & np.uint64(2 * sentinel - 1)  # the sentinel and every bit below it
+    return ((raws >> np.uint64(FACE_SHIFT)) < np.uint64(NUM_FACES)) & (low_bits == np.uint64(sentinel))
 
 
 def cell_centers_vec(raws, level: int) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ The predicate also marks interior cells: all four corners inside the
 rect, no rect edge crossing a cell edge and no witness inside the cell.
 Such a cell lies wholly inside the rect, so it is not refined; its
 target-level descendants are emitted at once as the range of Hilbert
-positions under it. Only boundary cells are refined, the interior
+positions under it (cellid.descendant_ids). Only boundary cells are refined, the interior
 covering idea of S2's RegionCoverer.
 
 Rects go through the pass in chunks of 16. Smaller chunks pay numpy's
@@ -74,8 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CapacityError, ConfigError, DataError
-from . import hilbert, transforms
-from .cellid import check_level
+from . import transforms
+from .cellid import check_level, descendant_ids, face_ij
 
 COVER_MAX_LEVEL = 16
 DEFAULT_COVER_CAP = 200_000
@@ -399,14 +399,6 @@ _CHUNK = 16
 _SEED_SPAN = 8
 
 
-def _raw_ids(face, pos, level: int) -> np.ndarray:
-    return (
-        (face.astype(np.uint64) << np.uint64(61))
-        | (pos.astype(np.uint64) << np.uint64(61 - 2 * level))
-        | np.uint64(1 << (60 - 2 * level))
-    )
-
-
 def _face_start(m: int):
     """_refine's start for m rects: the six face cells of each at level 0,
     none of them in a ring."""
@@ -425,11 +417,9 @@ def _seed_start(rect: GeoRect, level: int):
     those points lie on more than one face or the block leaves the face.
     """
     lat, lng = np.array(_witnesses(rect) + [rect.center()], dtype=np.float64).T
-    face, u, v = transforms.xyz_to_face_uv(transforms.latlng_to_xyz(lat, lng))
+    face, i, j = face_ij(lat, lng, level)
     if (face != face[0]).any():
         return None
-    i = transforms.st_to_ij(transforms.uv_to_st(u), level)
-    j = transforms.st_to_ij(transforms.uv_to_st(v), level)
     i_lo, i_hi, j_lo, j_hi = int(i.min()), int(i.max()), int(j.min()), int(j.max())
     k = level
     while max(i_hi - i_lo, j_hi - j_lo) >= _SEED_SPAN:
@@ -467,10 +457,7 @@ def _refine(g: _RectArrays, m: int, start: int, face, i, j, rid, ring, level: in
                 f"covering exceeds cap {cap} (at least {int(size.max())} cells at level {level})"
             )
         if whole.any():
-            fw = face[whole]
-            pos = hilbert.xy_to_position_vec(cur, i[whole], j[whole], fw & hilbert.SWAP_MASK)
-            pos = (pos[:, None] << (2 * (level - cur))) + np.arange(span, dtype=np.int64)
-            found_raw.append(_raw_ids(np.repeat(fw, span), pos.ravel(), level))
+            found_raw.append(descendant_ids(face[whole], i[whole], j[whole], cur, level))
             found_rid.append(np.repeat(rid[whole], span))
         face, i, j, rid = face[live], i[live], j[live], rid[live]
         if cur == level or face.shape[0] == 0:
@@ -480,8 +467,7 @@ def _refine(g: _RectArrays, m: int, start: int, face, i, j, rid, ring, level: in
         i = np.repeat(i, 4) * 2 + np.tile(_CHILD_DI, face.shape[0] // 4)
         j = np.repeat(j, 4) * 2 + np.tile(_CHILD_DJ, face.shape[0] // 4)
 
-    pos = hilbert.xy_to_position_vec(level, i, j, face & hilbert.SWAP_MASK)
-    raws = np.concatenate(found_raw + [_raw_ids(face, pos, level)])
+    raws = np.concatenate(found_raw + [descendant_ids(face, i, j, level, level)])
     owner = np.concatenate(found_rid + [rid])
     order = np.lexsort((raws, owner))
     return np.split(raws[order], np.cumsum(np.bincount(owner, minlength=m))[:-1])

@@ -9,10 +9,13 @@ from cellsearch.s2geom import (
     all_cells_at_level,
     cell_centers_vec,
     cell_from_latlng,
+    cell_from_raw_ij,
     cells_from_latlng_vec,
     is_valid_raw,
     num_cells_at_level,
+    valid_at_level,
 )
+from cellsearch.s2geom.cellid import descendant_ids, face_ij
 
 
 def test_level_zero_face_zero_layout():
@@ -172,6 +175,53 @@ def test_vec_centers_match_scalar():
         ctr = CellId.from_raw(int(raws[k])).center()
         assert abs(ctr.lat - clat[k]) < 1e-12
         assert abs(ctr.lng - clng[k]) < 1e-12
+
+
+@pytest.mark.parametrize("level", [0, 5, 11, 30])
+def test_valid_at_level_matches_scalar_rule(level):
+    rng = np.random.default_rng(41 + level)
+    raws = [int(r) for r in rng.integers(0, 2**64, 500, dtype=np.uint64)]
+    # Cells at every level on faces 0-7, some with one more low bit set.
+    for _ in range(3000):
+        lev = int(rng.integers(0, 31))
+        face, pos = int(rng.integers(0, 8)), int(rng.integers(0, 4**lev))
+        raw = face << 61 | pos << (61 - 2 * lev) | 1 << (60 - 2 * lev)
+        if rng.random() < 0.3:
+            raw |= 1 << int(rng.integers(0, 64))
+        raws.append(raw)
+    sentinel = 1 << (60 - 2 * level)
+    raws += [
+        0,
+        2**64 - 1,
+        sentinel,
+        sentinel | 1,  # a bit below the sentinel
+        sentinel >> 1,  # the sentinel one bit low, on an odd bit
+        5 << 61 | sentinel,
+        6 << 61 | sentinel,  # face 6
+        7 << 61 | sentinel,  # face 7
+        1 << 61,  # lowest bit on the face bits
+    ]
+    want = [is_valid_raw(r) and CellId(r).level() == level for r in raws]
+    assert valid_at_level(np.array(raws, dtype=np.uint64), level).tolist() == want
+    assert want.count(True) > 50
+
+
+def test_descendant_ids_match_repeated_children():
+    rng = np.random.default_rng(43)
+    for level, target in ((0, 0), (0, 2), (3, 3), (4, 7), (9, 11), (27, 30)):
+        lat = rng.uniform(-89, 89, 5)
+        lng = rng.uniform(-180, 180, 5)
+        face, i, j = face_ij(lat, lng, level)
+        want = []
+        for k in range(5):
+            cells = [cell_from_raw_ij(int(face[k]), int(i[k]), int(j[k]), level)]
+            assert cells[0] == cell_from_latlng(lat[k], lng[k], level)
+            for _ in range(target - level):
+                cells = [child for cell in cells for child in cell.children()]
+            want += cells
+        got = descendant_ids(face, i, j, level, target)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [int(c) for c in want]
 
 
 def test_rejects_bad_coordinates():

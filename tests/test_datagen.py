@@ -245,6 +245,7 @@ def test_round_trip_files(tmp_path, small_dataset):
     assert read_events(tmp_path / "train_events.tsv") == train
     assert read_events(tmp_path / "eval_events.tsv") == ev
     w2 = load_dataset(str(tmp_path))
+    assert w2.config == SMALL
     assert w2.listings == world.listings
     assert w2.destinations == world.destinations
     assert w2.gap == world.gap

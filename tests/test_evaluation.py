@@ -37,7 +37,7 @@ def test_lambda_grid_is_log_spaced():
 
 def test_sweep_matches_naive_recomputation(stack, monkeypatch):
     world, pipeline, eval_batches, models, bmodel, index = stack
-    monkeypatch.setattr("cellsearch.evaluation.EVAL_CHUNK", 7)  # cross chunk boundaries
+    monkeypatch.setattr("cellsearch.nn.EVAL_CHUNK", 7)  # cross chunk boundaries
     batch = eval_batches["EU"].take(slice(0, 48))
     # A copy in which every third search asks for 12 guests, more than any
     # listing seats, and one asks for 10**12: such searches retrieve no
@@ -90,7 +90,7 @@ def _check_sweep_against_naive(model, batch, index):
 
 def test_sweep_dest_weighted_recall_matches_naive(stack, monkeypatch):
     world, pipeline, eval_batches, models, bmodel, index = stack
-    monkeypatch.setattr("cellsearch.evaluation.EVAL_CHUNK", 11)
+    monkeypatch.setattr("cellsearch.nn.EVAL_CHUNK", 11)
     shard = "AMER"
     batch = eval_batches[shard].take(slice(0, 60))
     model = models[shard]
@@ -117,7 +117,7 @@ def test_sweep_monotone_in_cutoff(stack):
 
 def test_booked_cell_probs_sentinel(stack, monkeypatch):
     world, pipeline, eval_batches, models, bmodel, index = stack
-    monkeypatch.setattr("cellsearch.evaluation.EVAL_CHUNK", 64)
+    monkeypatch.setattr("cellsearch.nn.EVAL_CHUNK", 64)
     shard = "EU"
     batch = eval_batches[shard]
     model = models[shard]

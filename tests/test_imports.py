@@ -6,7 +6,10 @@ binds must be referenced somewhere in the same file. Package `__init__.py`
 files are skipped, since their imports are re-exports, and so are
 `__future__` imports. In the package, every private name (`_x`) that a
 module defines at its top level must be referenced in that module, so a
-deletion leaves no helper without a caller.
+deletion leaves no helper without a caller. Each format decision in the
+package has one owner: `EVAL_CHUNK` is assigned in one module, the
+`"format_version"` key of JSON artifacts is written and read only in
+`datagen`, and only `s2geom/cellid.py` imports the Hilbert curve.
 """
 
 import ast
@@ -51,6 +54,25 @@ def unused_private_names(source: str) -> list:
             if name.startswith("_") and not name.startswith("__") and name not in used]
 
 
+def format_marks(source: str) -> list:
+    """(line, mark) of every format decision a module makes: "EVAL_CHUNK"
+    for an assignment to that name, "format_version" for a string of that
+    text and "hilbert" for an import of the hilbert module."""
+    marks = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            marks += [(node.lineno, "EVAL_CHUNK") for t in targets if getattr(t, "id", None) == "EVAL_CHUNK"]
+        elif isinstance(node, ast.Constant) and node.value == "format_version":
+            marks.append((node.lineno, "format_version"))
+        elif isinstance(node, ast.Import):
+            marks += [(node.lineno, "hilbert") for a in node.names if "hilbert" in a.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            if "hilbert" in (node.module or "").split(".") + [a.name for a in node.names]:
+                marks.append((node.lineno, "hilbert"))
+    return marks
+
+
 def test_sources_are_found():
     assert any(p.endswith(os.path.join("s2geom", "region.py")) for p in SOURCES)
     assert any(p.endswith("test_imports.py") for p in SOURCES)
@@ -85,3 +107,27 @@ def test_no_unused_private_names():
         with open(path, encoding="utf-8") as f:
             found += [f"{os.path.relpath(path, REPO)}:{line} {name}" for line, name in unused_private_names(f.read())]
     assert found == []
+
+
+def test_scan_flags_format_marks():
+    source = (
+        "from . import hilbert, transforms\nfrom .hilbert import xy_to_position\n"
+        "import cellsearch.s2geom.hilbert\nfrom .cellid import check_level\n"
+        "EVAL_CHUNK = 512\nchunk_size = EVAL_CHUNK\nx: int = 2\ndoc = {'format_version': 1}\n"
+    )
+    assert format_marks(source) == [
+        (1, "hilbert"), (2, "hilbert"), (3, "hilbert"), (5, "EVAL_CHUNK"), (8, "format_version"),
+    ]
+
+
+def test_each_format_has_one_owner():
+    owners = {"EVAL_CHUNK": [], "format_version": [], "hilbert": []}
+    for path in SOURCES:
+        if not path.startswith(os.path.join(REPO, "src", "")):
+            continue
+        with open(path, encoding="utf-8") as f:
+            for _, mark in format_marks(f.read()):
+                owners[mark].append(os.path.relpath(path, REPO).replace(os.sep, "/"))
+    assert owners["EVAL_CHUNK"] == ["src/cellsearch/nn.py"]
+    assert set(owners["format_version"]) == {"src/cellsearch/datagen.py"}
+    assert owners["hilbert"] == ["src/cellsearch/s2geom/cellid.py"]

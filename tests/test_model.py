@@ -16,7 +16,6 @@ from modeltools import (
     tiny_model,
 )
 
-from cellsearch import model as model_module
 from cellsearch import nn
 from cellsearch.errors import ConfigError, DataError, NumericError
 from cellsearch.features import encode_events, fit_pipeline
@@ -360,7 +359,7 @@ def test_cross_entropy_equals_log_softmax_formula(monkeypatch, dtype):
     # per call keep the running total small, so that a change in the last
     # bit of one chunk's sum shows in the result; 30 models give many
     # chances for one to.
-    monkeypatch.setattr(model_module, "EVAL_CHUNK", 4)
+    monkeypatch.setattr(nn, "EVAL_CHUNK", 4)
     for seed in range(30):
         model = tiny_model(n_classes=40, dtype=dtype, seed=seed)
         model.params["out_w"] *= 5.0  # logits several nats apart
