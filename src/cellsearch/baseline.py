@@ -18,7 +18,7 @@ matching how retrieval quality is judged downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError, NumericError
 from .features import EncodedBatch, FeaturePipeline
 from .labels import RETRIEVAL_LEVEL
 from .nn import (
-    FULL_SCALE_HIDDEN,
+    TrunkConfig,
     TrunkModel,
     build_trunk_model,
     ensure_finite,
@@ -38,7 +38,6 @@ from .nn import (
     softplus,
     trunk_backward,
     trunk_forward,
-    validate_trunk_config,
 )
 from .s2geom import GeoRect, cell_centers_vec, cover_rect_raw
 
@@ -51,30 +50,19 @@ BETA_GRID = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 
 
 @dataclass(frozen=True)
-class BoundsConfig:
-    """Baseline hyperparameters. Defaults mirror the classifier trunk."""
+class BoundsConfig(TrunkConfig):
+    """Baseline hyperparameters: the trunk's, plus the loss weights of
+    a missed booking (alpha) and of the box size (beta)."""
 
-    embed_dim: int = 16
-    hidden: tuple[int, ...] = (64, 128, 64, 32)
-    learning_rate: float = 0.002
-    epochs: int = 16
-    patience: int = 2
-    batch_size: int = 512
     alpha: float = 1.0
     beta: float = 0.01
-    seed: int = 7
-    dtype: str = "float32"
 
     def __post_init__(self):
-        validate_trunk_config(self)
+        super().__post_init__()
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
         if self.beta < 0:
             raise ConfigError("beta must be >= 0")
-
-
-def full_scale_bounds_config(base: BoundsConfig) -> BoundsConfig:
-    return replace(base, hidden=FULL_SCALE_HIDDEN)
 
 
 def destination_coords(batch: EncodedBatch, destinations) -> np.ndarray:

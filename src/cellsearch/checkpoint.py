@@ -128,7 +128,6 @@ def _config_echo(model, **extra) -> dict:
     """The header's config object: every hyperparameter, the trained flag
     and the trunk shapes, plus the kind's own fields."""
     echo = asdict(model.config)
-    echo["hidden"] = list(model.config.hidden)
     echo.update(
         trained=model.trained,
         categorical_features=list(model.spec.emb_names),
@@ -161,14 +160,13 @@ def _load_trunk_model(path, kind: str, config_cls, stream: int, n_outputs: int, 
         if found != kind:
             raise DataError(f"expected a {kind} checkpoint, got {found!r}")
         try:
-            values = {f.name: echo[f.name] for f in fields(config_cls)}
-            config = config_cls(**dict(values, hidden=tuple(echo["hidden"])))
+            config = config_cls(**{f.name: echo[f.name] for f in fields(config_cls)})
             spec = TrunkSpec(
                 emb_names=tuple(echo["categorical_features"]),
                 emb_rows=tuple(echo["emb_rows"]),
-                emb_dim=echo["embed_dim"],
+                emb_dim=config.embed_dim,
                 n_continuous=echo["n_continuous"],
-                hidden=tuple(echo["hidden"]),
+                hidden=config.hidden,
             )
             trained = bool(echo["trained"])
         except (KeyError, TypeError, ValueError) as e:

@@ -20,10 +20,10 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .baseline import BoundsConfig, full_scale_bounds_config
+from .baseline import BoundsConfig
 from .datagen import GenConfig
 from .errors import ConfigError, DataError
-from .model import TrainConfig, full_scale_config
+from .model import TrainConfig
 from .nn import EVAL_CHUNK
 
 DATA_DIR = "data"
@@ -45,9 +45,6 @@ def model_file(shard: str) -> str:
 
 def sweep_svg_file(shard: str) -> str:
     return f"sweep_{shard}.svg"
-
-
-_TUPLE_KEYS = {("data", "continent_mix"), ("train", "hidden"), ("bounds", "hidden")}
 
 
 def default_document() -> dict:
@@ -152,8 +149,6 @@ def _check_types(doc: dict, defaults: dict, path: str = "") -> None:
 
 def _build(doc: dict) -> RunConfig:
     _check_types(doc, default_document())
-    for section, key in _TUPLE_KEYS:
-        doc[section][key] = tuple(doc[section][key])
     if not doc["workdir"]:
         raise ConfigError("workdir must be a non-empty string")
     # The workdir, or the nearest of its parents that exists, must be a
@@ -167,8 +162,7 @@ def _build(doc: dict) -> RunConfig:
     train = TrainConfig(**doc["train"])
     bounds = BoundsConfig(**doc["bounds"])
     if doc["full_scale"]:
-        train = full_scale_config(train)
-        bounds = full_scale_bounds_config(bounds)
+        train, bounds = train.full_scale(), bounds.full_scale()
     return RunConfig(workdir=doc["workdir"], data=data, train=train, bounds=bounds)
 
 

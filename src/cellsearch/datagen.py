@@ -75,6 +75,10 @@ class GenConfig:
     continent_mix: tuple[float, float, float] = (0.4, 0.35, 0.25)
 
     def __post_init__(self):
+        object.__setattr__(self, "continent_mix", tuple(self.continent_mix))
+        for name in ("seed", "n_train_events", "n_eval_events"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.n_destinations < 3:
             raise ConfigError("need at least 3 destinations")
         if self.n_listings < 200 * self.n_destinations:
@@ -875,8 +879,7 @@ def load_dataset(data_dir) -> World:
     path = os.path.join(data_dir, "manifest.json")
     doc = read_json_artifact(path, "manifest")
     try:
-        values = {f.name: doc[f.name] for f in fields(GenConfig)}
-        cfg = GenConfig(**values | {"continent_mix": tuple(values["continent_mix"])})
+        cfg = GenConfig(**{f.name: doc[f.name] for f in fields(GenConfig)})
         gap = GapInfo(
             doc["gap_dest_id"],
             GeoRect(*doc["gap_rect"]),

@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError, NumericError
 from .features import EncodedBatch, FeaturePipeline, SHARDS
 from .labels import LabelVocabulary
 from .nn import (
-    FULL_SCALE_HIDDEN,
+    TrunkConfig,
     TrunkModel,
     build_trunk_model,
     clone_params,
@@ -35,33 +35,24 @@ from .nn import (
     sgd_update,
     trunk_backward,
     trunk_forward,
-    validate_trunk_config,
 )
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Classifier hyperparameters. Defaults are the reduced desk scale."""
+class TrainConfig(TrunkConfig):
+    """Classifier hyperparameters: the trunk's, plus the negatives each
+    batch's sampled softmax draws."""
 
-    embed_dim: int = 16
-    hidden: tuple[int, ...] = (64, 128, 64, 32)
-    learning_rate: float = 0.002
-    epochs: int = 16
-    patience: int = 2
-    batch_size: int = 512
     num_negatives: int = 512
-    seed: int = 7
-    dtype: str = "float32"
 
     def __post_init__(self):
-        validate_trunk_config(self)
+        super().__post_init__()
         if self.num_negatives < 1:
             raise ConfigError("num_negatives must be >= 1")
 
-
-def full_scale_config(base: TrainConfig) -> TrainConfig:
-    """The production-sized variant: wider trunk, far more negatives."""
-    return replace(base, hidden=FULL_SCALE_HIDDEN, num_negatives=25000)
+    def full_scale(self):
+        """The production-sized variant: wider trunk, far more negatives."""
+        return replace(super().full_scale(), num_negatives=25000)
 
 
 def sample_negatives(rng, n_classes, targets, num_negatives) -> np.ndarray:

@@ -7,7 +7,7 @@ hidden dense layers, then the output layer. Everything downstream
 (SGD updates, gradient checks, checkpoints) walks that dict.
 
 The two models built on the trunk, the shard classifier and the bounds
-regressor, share one config validator, one builder, one state class
+regressor, share one config (TrunkConfig), one builder, one state class
 (TrunkModel) and one training loop (fit_epochs) from here.
 
 Gradients that land on looked-up rows (all embedding tables at once, and
@@ -22,7 +22,7 @@ of a per-table 2-d scatter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,24 +132,44 @@ def init_trunk(rng, spec: TrunkSpec, dtype) -> dict:
     return params
 
 
-def validate_trunk_config(cfg):
-    """Range checks on the fields every trunk-model config shares:
-    embed_dim, hidden, learning_rate, epochs, patience, batch_size and
-    dtype (seed takes any integer)."""
-    if cfg.embed_dim < 1:
-        raise ConfigError("embed_dim must be >= 1")
-    if not cfg.hidden or any(h < 1 for h in cfg.hidden):
-        raise ConfigError("hidden widths must be >= 1")
-    if not (0 < cfg.learning_rate < 1):
-        raise ConfigError("learning_rate must lie in (0, 1)")
-    if cfg.epochs < 0:
-        raise ConfigError("epochs must be >= 0")
-    if cfg.patience < 1:
-        raise ConfigError("patience must be >= 1")
-    if cfg.batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    if cfg.dtype not in DTYPES:
-        raise ConfigError(f"dtype must be one of {sorted(DTYPES)}")
+@dataclass(frozen=True)
+class TrunkConfig:
+    """Hyperparameters of the trunk and its training loop, shared by both
+    models; each model's config adds only its head's fields. Defaults are
+    the reduced desk scale. A hidden list becomes a tuple, so a config
+    read from JSON equals and hashes like one written in code."""
+
+    embed_dim: int = 16
+    hidden: tuple[int, ...] = (64, 128, 64, 32)
+    learning_rate: float = 0.002
+    epochs: int = 16
+    patience: int = 2
+    batch_size: int = 512
+    seed: int = 7
+    dtype: str = "float32"
+
+    def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        if self.embed_dim < 1:
+            raise ConfigError("embed_dim must be >= 1")
+        if not self.hidden or any(h < 1 for h in self.hidden):
+            raise ConfigError("hidden widths must be >= 1")
+        if not (0 < self.learning_rate < 1):
+            raise ConfigError("learning_rate must lie in (0, 1)")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be >= 0")
+        if self.patience < 1:
+            raise ConfigError("patience must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {sorted(DTYPES)}")
+
+    def full_scale(self):
+        """The production-sized variant: the FULL_SCALE_HIDDEN trunk."""
+        return replace(self, hidden=FULL_SCALE_HIDDEN)
 
 
 def trunk_inputs(pipeline) -> tuple[tuple[str, ...], tuple[int, ...], int]:
@@ -160,13 +180,13 @@ def trunk_inputs(pipeline) -> tuple[tuple[str, ...], tuple[int, ...], int]:
     return tuple(sizes), tuple(sizes.values()), int(pipeline.continuous_mean.size)
 
 
-def build_trunk_model(config, pipeline, n_outputs: int, stream: int):
+def build_trunk_model(config: TrunkConfig, pipeline, n_outputs: int, stream: int):
     """Spec, initial parameters and rng of a new trunk model over a fitted
     feature pipeline, with an n_outputs-wide linear head. The rng, seeded
     with (config.seed, stream) so that models sharing a seed draw
     independent streams, initializes the parameters and then trains them."""
     emb_names, emb_rows, n_continuous = trunk_inputs(pipeline)
-    spec = TrunkSpec(emb_names, emb_rows, config.embed_dim, n_continuous, tuple(config.hidden))
+    spec = TrunkSpec(emb_names, emb_rows, config.embed_dim, n_continuous, config.hidden)
     dtype = DTYPES[config.dtype]
     rng = np.random.default_rng((config.seed, stream))
     params = init_trunk(rng, spec, dtype)

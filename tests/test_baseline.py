@@ -243,6 +243,8 @@ def test_bounds_config_validation():
         BoundsConfig(beta=-0.1)
     with pytest.raises(ConfigError):
         BoundsConfig(dtype="int8")
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        BoundsConfig(seed=-3)
 
 
 def test_build_from_real_pipeline(small_dataset):

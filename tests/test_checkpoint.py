@@ -156,7 +156,7 @@ def test_model_load_validates_vocab(tmp_path):
 def test_model_load_rejects_bad_echo_field(tmp_path):
     model = tiny_model(num_negatives=2)
     path = tmp_path / "model.ckpt"
-    for field, value in (("hidden", 5), ("learning_rate", -1.0)):
+    for field, value in (("hidden", 5), ("learning_rate", -1.0), ("seed", -1)):
         echo = dict(model_config_echo(model), **{field: value})
         save_checkpoint(path, "cell_classifier", echo, model.params)
         with pytest.raises(DataError, match="bad field"):
@@ -171,14 +171,18 @@ def test_model_load_rejects_other_kind(tmp_path):
         load_model(path, model.vocab)
 
 
-def test_config_echo_contents():
+def test_config_echo_contents(tmp_path):
     model = tiny_model(num_negatives=2)
     echo = model_config_echo(model)
     assert echo["shard"] == "EU"
     assert echo["trained"] is False
     assert echo["n_classes"] == 7
     assert echo["categorical_features"] == ["kind"]
-    assert echo["hidden"] == [5, 4]
+    # The widths as the header renders them: a JSON list.
+    save_model(tmp_path / "model.ckpt", model)
+    header = (tmp_path / "model.ckpt").read_bytes().split(b"\nend\n", 1)[0].decode()
+    (line,) = [line for line in header.splitlines() if line.startswith("config ")]
+    assert json.loads(line[len("config "):])["hidden"] == [5, 4]
 
 
 @pytest.mark.parametrize("kind", ["cell_classifier", "bounds_regressor"])
@@ -192,5 +196,6 @@ def test_save_load_save_is_byte_identical(tmp_path, kind):
         save, load = save_baseline, load_baseline
     first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
     save(first, model)
+    assert load(first).config == model.config
     save(second, load(first))
     assert second.read_bytes() == first.read_bytes()

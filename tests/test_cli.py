@@ -225,6 +225,25 @@ def test_train_full_scale_fails_before_any_work(fresh_data, capsys):
     assert _trained_artifacts(workdir) == []
 
 
+@pytest.mark.parametrize("override", ["train.seed=-1", "bounds.seed=-3"])
+def test_train_negative_seed_fails_before_any_work(fresh_data, capsys, override):
+    cfg_path, workdir = fresh_data
+    assert main(["train", "--config", str(cfg_path), "--set", override]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+    assert _trained_artifacts(workdir) == []
+
+
+@pytest.mark.parametrize("override", ["data.seed=-1", "data.n_train_events=-5", "data.n_eval_events=-1"])
+def test_gen_negative_seed_or_count_fails_before_any_work(tmp_path, capsys, override):
+    workdir = tmp_path / "run"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(CFG, workdir=str(workdir))))
+    assert main(["gen", "--config", str(cfg_path), "--set", override]) == 2
+    key = override.split("=")[0].split(".")[1]
+    assert capsys.readouterr().err == f"config error: {key} must be >= 0\n"
+    assert not workdir.exists()
+
+
 def test_train_failing_mid_fit_writes_nothing(fresh_data, capsys):
     cfg_path, workdir = fresh_data
     world = load_dataset(workdir / "data")

@@ -5,13 +5,16 @@ import os
 
 import pytest
 
+from cellsearch.baseline import BoundsConfig
 from cellsearch.config import (
     RunConfig,
     default_document,
     load_run_config,
     parse_override,
 )
+from cellsearch.datagen import GenConfig
 from cellsearch.errors import ConfigError, DataError
+from cellsearch.model import TrainConfig
 
 
 def test_defaults_load_without_file():
@@ -59,6 +62,9 @@ def test_full_scale_transform(tmp_path):
     assert run.train.hidden == (1024, 2056, 1024, 256)
     assert run.train.num_negatives == 25000
     assert run.bounds.hidden == (1024, 2056, 1024, 256)
+    # every other field keeps its default
+    assert run.train == TrainConfig(hidden=(1024, 2056, 1024, 256), num_negatives=25000)
+    assert run.bounds == BoundsConfig(hidden=(1024, 2056, 1024, 256))
     # the flag applies after explicit section values
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"full_scale": True, "train": {"epochs": 2}}))
@@ -71,6 +77,21 @@ def test_tuple_coercion():
     run = load_run_config(overrides=["train.hidden=[8,4]", "data.continent_mix=[0.5,0.3,0.2]"])
     assert run.train.hidden == (8, 4)
     assert run.data.continent_mix == (0.5, 0.3, 0.2)
+
+
+@pytest.mark.parametrize(
+    "cls, key, value",
+    [
+        (TrainConfig, "hidden", [8, 4]),
+        (BoundsConfig, "hidden", [8, 4]),
+        (GenConfig, "continent_mix", [0.5, 0.3, 0.2]),
+    ],
+)
+def test_list_fields_equal_and_hash_like_tuples(cls, key, value):
+    from_list, from_tuple = cls(**{key: value}), cls(**{key: tuple(value)})
+    assert getattr(from_list, key) == tuple(value)
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
 
 
 def test_unknown_keys_rejected(tmp_path):

@@ -9,7 +9,9 @@ module defines at its top level must be referenced in that module, so a
 deletion leaves no helper without a caller. Each format decision in the
 package has one owner: `EVAL_CHUNK` is assigned in one module, the
 `"format_version"` key of JSON artifacts is written and read only in
-`datagen`, and only `s2geom/cellid.py` imports the Hilbert curve.
+`datagen`, and only `s2geom/cellid.py` imports the Hilbert curve. The
+trunk settings both models share are declared as class fields only in
+`nn`, where `TrunkConfig` holds them.
 """
 
 import ast
@@ -23,6 +25,8 @@ SOURCES = sorted(
     for path in glob.glob(os.path.join(REPO, tree, "**", "*.py"), recursive=True)
     if os.path.basename(path) != "__init__.py"
 )
+# Fields of nn.TrunkConfig that no other class in the package declares.
+TRUNK_FIELDS = ("embed_dim", "learning_rate", "patience", "batch_size", "dtype")
 
 
 def unused_imports(source: str) -> list:
@@ -57,7 +61,8 @@ def unused_private_names(source: str) -> list:
 def format_marks(source: str) -> list:
     """(line, mark) of every format decision a module makes: "EVAL_CHUNK"
     for an assignment to that name, "format_version" for a string of that
-    text and "hilbert" for an import of the hilbert module."""
+    text, "hilbert" for an import of the hilbert module, and the field's
+    name for a class field named in TRUNK_FIELDS."""
     marks = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -70,6 +75,9 @@ def format_marks(source: str) -> list:
         elif isinstance(node, ast.ImportFrom):
             if "hilbert" in (node.module or "").split(".") + [a.name for a in node.names]:
                 marks.append((node.lineno, "hilbert"))
+        elif isinstance(node, ast.ClassDef):
+            marks += [(s.lineno, s.target.id) for s in node.body
+                      if isinstance(s, ast.AnnAssign) and getattr(s.target, "id", None) in TRUNK_FIELDS]
     return marks
 
 
@@ -120,8 +128,17 @@ def test_scan_flags_format_marks():
     ]
 
 
+def test_scan_flags_trunk_fields():
+    source = (
+        "class A:\n    dtype: str = 'x'\n    n: int = 1\n    batch_size = 4\n"
+        "    def f(self):\n        self.patience: int = 2\n        embed_dim: int = 3\n"
+        "learning_rate: float = 0.1\nclass B(A):\n    patience: int = 2\n"
+    )
+    assert format_marks(source) == [(2, "dtype"), (10, "patience")]
+
+
 def test_each_format_has_one_owner():
-    owners = {"EVAL_CHUNK": [], "format_version": [], "hilbert": []}
+    owners = {mark: [] for mark in ("EVAL_CHUNK", "format_version", "hilbert", *TRUNK_FIELDS)}
     for path in SOURCES:
         if not path.startswith(os.path.join(REPO, "src", "")):
             continue
@@ -131,3 +148,5 @@ def test_each_format_has_one_owner():
     assert owners["EVAL_CHUNK"] == ["src/cellsearch/nn.py"]
     assert set(owners["format_version"]) == {"src/cellsearch/datagen.py"}
     assert owners["hilbert"] == ["src/cellsearch/s2geom/cellid.py"]
+    for name in TRUNK_FIELDS:
+        assert owners[name] == ["src/cellsearch/nn.py"], name

@@ -24,7 +24,6 @@ from cellsearch.model import (
     ShardModel,
     TrainConfig,
     full_loss_and_grads,
-    full_scale_config,
     sample_negatives,
     sampled_loss_and_grads,
 )
@@ -406,7 +405,7 @@ def test_build_from_real_pipeline_and_fit(small_dataset):
 
 def test_full_scale_config_widens_model():
     base = TrainConfig()
-    full = full_scale_config(base)
+    full = TrainConfig().full_scale()
     assert full.hidden == (1024, 2056, 1024, 256)
     assert full.num_negatives == 25000
     assert full.learning_rate == base.learning_rate
@@ -424,6 +423,8 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(hidden=())
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
 
 
 def test_unknown_shard_rejected():
