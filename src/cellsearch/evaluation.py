@@ -311,9 +311,8 @@ def _rect_counts(index: ListingIndex, rects, coverings, num_guests) -> np.ndarra
     store = index.listings
     counts = np.empty(len(rects))
     for r, (rect, covering, g) in enumerate(zip(rects, coverings, num_guests)):
-        rows = index.posting_rows(covering)
-        inside = rect.contains(store.lats[rows], store.lngs[rows])
-        counts[r] = np.count_nonzero(inside & (store.capacities[rows] >= g))
+        rows = index.seated_rows(covering, g)
+        counts[r] = np.count_nonzero(rect.contains(store.lats[rows], store.lngs[rows]))
     return counts
 
 

@@ -5,13 +5,23 @@ exactly one posting (its retrieval-level cell), so posting lengths sum
 to the active-listing count. Inactive listings are reachable through a
 linear scan fallback (active_only=False), never through postings.
 
+The index holds each posting twice, as store rows:
+  * in id order (`posting_rows`, `posting_ids`): the postings file and
+    its check are rendered from this copy;
+  * in capacity order, largest first, ties in id order: the serving
+    copy. The listings of a posting that seat g guests are a prefix of
+    it, and `_seats[k, g]` is that prefix's length for posting k and
+    g = 0 .. largest capacity + 1 (the last column is all zeros).
+Both copies and the prefix table are built once and are read-only.
+
 Retrieval semantics:
   * retrieve_cells: listings whose cell is in the query set, with
-    capacity >= num_guests.
+    capacity >= num_guests: the query postings' prefixes, sorted.
   * retrieve_rect: cover the rect with retrieval-level cells, pull the
     postings, then post-filter to listings whose exact point lies in
     the rect. The covering is a superset of every intersecting cell, so
     the post-filter makes the result exact.
+  * capacity_count_table: prefix lengths, read from `_seats`.
 """
 
 from __future__ import annotations
@@ -39,7 +49,8 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
 class ListingIndex:
     """Immutable cell postings over a listing store (datagen.ListingStore:
-    columns sorted by listing id, each listing's cell included)."""
+    columns sorted by listing id, each listing's cell included, capacities
+    non-negative)."""
 
     def __init__(self, listings):
         self.listings = listings
@@ -51,11 +62,28 @@ class ListingIndex:
         self.posting_offsets = np.append(starts, rows.size).astype(np.int64)
         self._posting_rows = rows
 
+        # The serving copy: one stable sort on (posting, capacity
+        # descending) keeps id order within each capacity.
+        caps = listings.capacities[rows]
+        width = int(caps.max(initial=0)) + 2
+        posting = np.repeat(np.arange(self.posting_cells.size), np.diff(self.posting_offsets))
+        key = posting * width + (width - 1 - caps)
+        self._by_capacity = rows[np.argsort(key, kind="stable")].astype(np.int32)
+        # Reverse cumulative sum over capacities: counts of capacity >= g.
+        hist = np.bincount(posting * width + caps, minlength=self.posting_cells.size * width)
+        self._seats = np.cumsum(hist.reshape(-1, width)[:, ::-1], axis=1)[:, ::-1]
+
+        for array in (self.posting_cells, self.posting_offsets, self._posting_rows,
+                      self._by_capacity, self._seats):
+            array.flags.writeable = False
+
     @classmethod
     def build(cls, listings) -> "ListingIndex":
         """Index a listing store."""
         if len(listings) == 0:
             raise DataError("cannot index an empty listing store")
+        if (listings.capacities < 0).any():
+            raise DataError("listing capacities must be non-negative")
         return cls(listings)
 
     @property
@@ -67,21 +95,39 @@ class ListingIndex:
         """Listing ids of every posting, concatenated in posting order."""
         return self.listings.ids[self._posting_rows]
 
+    def _find(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's posting number, and whether the cell has a posting."""
+        k = np.searchsorted(self.posting_cells, cells)
+        found = k < self.posting_cells.size
+        found[found] = self.posting_cells[k[found]] == cells[found]
+        return k, found
+
+    def _slices(self, postings: np.ndarray, k: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The first lengths[i] entries of posting k[i] in `postings` (one
+        of the two copies), concatenated in the order of k."""
+        starts = self.posting_offsets[k]
+        # Row t of the output is entry t - (output offset of its slice) +
+        # (start of its slice).
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return postings[shift + np.arange(shift.size)]
+
     def posting_rows(self, cells) -> np.ndarray:
         """Store rows of the active listings posted under the given
         distinct cells, posting by posting in the order of cells."""
         cells = np.asarray(cells, dtype=np.uint64)
-        n = self.posting_cells.size
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        k = np.searchsorted(self.posting_cells, cells)
-        k = k[(k < n) & (self.posting_cells[np.minimum(k, n - 1)] == cells)]
-        starts = self.posting_offsets[k]
-        lengths = self.posting_offsets[k + 1] - starts
-        # Concatenate the posting slices: row t of the output is entry
-        # t - (output offset of its slice) + (start of its slice).
-        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        return self._posting_rows[shift + np.arange(shift.size)]
+        k, found = self._find(cells)
+        k = k[found]
+        return self._slices(self._posting_rows, k, self.posting_offsets[k + 1] - self.posting_offsets[k])
+
+    def seated_rows(self, cells, num_guests: int) -> np.ndarray:
+        """Store rows of the active listings posted under the given
+        distinct cells whose capacity is at least num_guests, posting by
+        posting in the order of cells, largest capacity first."""
+        cells = np.asarray(cells, dtype=np.uint64)
+        k, found = self._find(cells)
+        k = k[found]
+        g = min(max(int(num_guests), 0), self._seats.shape[1] - 1)
+        return self._slices(self._by_capacity, k, self._seats[k, g])
 
     def retrieve_cells(self, cells, num_guests: int = 1, active_only: bool = True):
         """Sorted listing ids in any of the cells, capacity-filtered."""
@@ -89,9 +135,8 @@ class ListingIndex:
         if not retrieval_cell_mask(query).all():
             raise DataError("query cells must be valid retrieval-level ids")
         if active_only:
-            rows = np.sort(self.posting_rows(query))
-        else:
-            rows = np.flatnonzero(np.isin(self.listings.cells, query))
+            return self.listings.ids[np.sort(self.seated_rows(query, num_guests))]
+        rows = np.flatnonzero(np.isin(self.listings.cells, query))
         rows = rows[self.listings.capacities[rows] >= num_guests]
         return self.listings.ids[rows]
 
@@ -106,15 +151,12 @@ class ListingIndex:
     def capacity_count_table(self, cells, max_guests: int) -> np.ndarray:
         """counts[i, g] = active listings in cells[i] with capacity >= g,
         for g in 0..max_guests. Cells absent from the postings give 0."""
-        query, back = np.unique(np.asarray(cells, dtype=np.uint64), return_inverse=True)
-        rows = self.posting_rows(query)
-        slot = np.searchsorted(query, self.listings.cells[rows])
-        caps = np.minimum(self.listings.capacities[rows], max_guests)
-        width = max_guests + 1
-        hist = np.bincount(slot * width + caps, minlength=query.size * width)
-        # Reverse cumulative sum over capacities: counts of capacity >= g.
-        table = np.cumsum(hist.reshape(query.size, width)[:, ::-1], axis=1)[:, ::-1]
-        return table[back]
+        cells = np.asarray(cells, dtype=np.uint64)
+        k, found = self._find(cells)
+        columns = np.minimum(np.arange(max_guests + 1), self._seats.shape[1] - 1)
+        table = np.zeros((cells.size, columns.size), dtype=self._seats.dtype)
+        table[found] = self._seats[k[found][:, None], columns]
+        return table
 
 
 def _render(index: ListingIndex, listings_ref: str) -> bytes:

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cellsearch.datagen import ListingStore
+from cellsearch.datagen import MAX_CAPACITY, ListingStore
 from cellsearch.errors import DataError
 from cellsearch.index import ListingIndex, load_index, save_index, sorted_unique
 from cellsearch.s2geom import GeoRect, cell_from_latlng, cells_from_latlng_vec
@@ -91,19 +91,20 @@ def test_retrieve_cells_matches_brute_force(world, index):
         n_pick = int(rng.integers(1, 40))
         picked = rng.choice(listing_cells, size=n_pick, replace=False)
         query = np.concatenate([picked, rng.choice(ocean, size=5)])
-        guests = int(rng.integers(1, 11))
-        want = brute_force_cells(world, set(query.tolist()), guests)
-        got = index.retrieve_cells(query, num_guests=guests)
-        np.testing.assert_array_equal(got, want)
+        # Every party size, past both ends of the capacity range.
+        for guests in range(-1, MAX_CAPACITY + 3):
+            want = brute_force_cells(world, set(query.tolist()), guests)
+            got = index.retrieve_cells(query, num_guests=guests)
+            np.testing.assert_array_equal(got, want)
+            want_all = brute_force_cells(
+                world, set(query.tolist()), guests, active_only=False
+            )
+            got_all = index.retrieve_cells(query, num_guests=guests, active_only=False)
+            np.testing.assert_array_equal(got_all, want_all)
         rows = index.posting_rows(np.unique(query))
         np.testing.assert_array_equal(
             np.sort(index.listings.ids[rows]), brute_force_cells(world, set(query.tolist()), 1)
         )
-        want_all = brute_force_cells(
-            world, set(query.tolist()), guests, active_only=False
-        )
-        got_all = index.retrieve_cells(query, num_guests=guests, active_only=False)
-        np.testing.assert_array_equal(got_all, want_all)
 
 
 def test_retrieve_cells_accepts_arrays_and_empty(index):
@@ -156,24 +157,52 @@ def test_retrieve_rect_matches_brute_force(world, index):
 
 def test_capacity_count_table_matches_brute_force(world, index):
     rng = np.random.default_rng(3)
+    store = world.listings
+    largest = store.active & (store.capacities == store.capacities[store.active].max())
     cells = np.concatenate(
         [
             rng.choice(index.posting_cells, size=15, replace=False),
+            store.cells[largest][:1],  # a cell that seats the largest party
             [np.uint64(cell_from_latlng(0.0, 0.0, 11))],
         ]
     )
     cells = np.append(cells, cells[0])  # a repeated cell gets its own row
-    table = index.capacity_count_table(cells, max_guests=10)
-    assert table.shape == (17, 11)
-    for i, cell in enumerate(cells):
-        for g in range(11):
-            want = sum(
-                1
-                for _, _, _, capacity, active, c in listing_rows(world.listings)
-                if active and c == int(cell) and capacity >= g
-            )
-            assert table[i, g] == want
-    assert np.all(np.diff(table, axis=1) <= 0)  # monotone in guests
+    for max_guests in (0, 3, 10, 15):
+        table = index.capacity_count_table(cells, max_guests=max_guests)
+        assert table.shape == (18, max_guests + 1)
+        for i, cell in enumerate(cells):
+            for g in range(max_guests + 1):
+                want = sum(
+                    1
+                    for _, _, _, capacity, active, c in listing_rows(world.listings)
+                    if active and c == int(cell) and capacity >= g
+                )
+                assert table[i, g] == want
+        assert np.all(np.diff(table, axis=1) <= 0)  # monotone in guests
+
+
+def test_capacity_order_is_a_permutation_of_each_posting(world, index):
+    caps = world.listings.capacities
+    for k in range(index.posting_cells.size):
+        lo, hi = index.posting_offsets[k], index.posting_offsets[k + 1]
+        by_id = index._posting_rows[lo:hi]
+        by_capacity = index._by_capacity[lo:hi]
+        np.testing.assert_array_equal(np.sort(by_capacity), by_id)
+        # Capacity descending, and ids ascending among equal capacities.
+        step = np.diff(caps[by_capacity])
+        assert np.all(step <= 0)
+        assert np.all(np.diff(world.listings.ids[by_capacity])[step == 0] > 0)
+        for g in range(index._seats.shape[1]):
+            assert index._seats[k, g] == np.count_nonzero(caps[by_id] >= g)
+
+
+def test_postings_are_read_only(index):
+    for name in ("posting_cells", "posting_offsets", "_posting_rows", "_by_capacity", "_seats"):
+        array = getattr(index, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1
 
 
 def test_save_load_round_trip(tmp_path, world, index):
@@ -265,8 +294,11 @@ def test_all_inactive_store_uses_scan_fallback():
     assert idx.posting_cells.size == 0
     assert idx.n_active == 0
     cell = int(cell_from_latlng(10.0, 20.0, 11))
-    assert idx.retrieve_cells([cell]).size == 0
+    for guests in (-1, 0, 2, 3):
+        assert idx.retrieve_cells([cell], num_guests=guests).size == 0
     assert idx.posting_rows([cell]).size == 0
+    table = idx.capacity_count_table([cell, cell], max_guests=4)
+    np.testing.assert_array_equal(table, np.zeros((2, 5)))
     got = idx.retrieve_cells([cell], active_only=False)
     want = [i for i, lat in enumerate(lats) if int(cell_from_latlng(lat, 20.0, 11)) == cell]
     np.testing.assert_array_equal(got, np.array(sorted(want), dtype=np.int64))
@@ -275,5 +307,7 @@ def test_all_inactive_store_uses_scan_fallback():
 def test_build_rejects_bad_stores():
     with pytest.raises(DataError):
         ListingIndex.build(ListingStore.from_columns([], [], [], [], []))
+    with pytest.raises(DataError, match="non-negative"):
+        ListingIndex.build(ListingStore.from_columns([1, 2], [1.0] * 2, [2.0] * 2, [3, -1], [True] * 2))
     with pytest.raises(DataError, match="listing id 7 repeats"):
         ListingStore.from_columns([7, 3, 7], [1.0] * 3, [2.0] * 3, [1] * 3, [True] * 3)
