@@ -54,7 +54,8 @@ for rect in rects:
           f"lng [{rect.lng_lo:.3f}, {rect.lng_hi:.3f}]")
 
 # 4. The index posts the store's active listings under their level 11
-# cell (computed once, with the store) in CSR postings sorted by listing id.
+# cell (computed once, with the store) in CSR postings, each sorted by
+# capacity, largest first.
 store = world.listings
 index = ListingIndex.build(store)
 print(f"\nindex: {len(store)} listings, {index.n_active} active "

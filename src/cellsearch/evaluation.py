@@ -286,11 +286,13 @@ def quantile_threshold(booked_probs, target: float):
 
 @dataclass
 class BaselineEval:
-    """Bounds-baseline metrics for one shard."""
+    """Bounds-baseline metrics for one shard, and the rectangle predicted
+    for each of its searches."""
 
     shard: str
     point: MetricPoint
     dest_precisions: np.ndarray
+    rects: list
 
 
 def _coverings(rects) -> list:
@@ -359,7 +361,7 @@ def evaluate_baseline(
 
     summary = _summary(hits, cells, listings, didx, dest_precisions)
     point = MetricPoint(**{name: float(v[0]) for name, v in summary.items()})
-    return BaselineEval(shard=batch.shard, point=point, dest_precisions=dest_precisions[:, 0])
+    return BaselineEval(shard=batch.shard, point=point, dest_precisions=dest_precisions[:, 0], rects=rects)
 
 
 @dataclass
@@ -368,16 +370,17 @@ class GapStats:
 
     Totals count retrieved listings that belong to the band, summed over
     the gap destination's evaluation searches, under the classifier at
-    its matched cutoff and under the baseline rectangles.
+    its matched cutoff and under the baseline rectangles. A destination
+    without evaluation searches gets all zeros.
     """
 
     dest_id: int
     shard: str
-    n_events: int
-    cell_retrieved_total: float
-    rect_retrieved_total: float
-    cell_mean_retrieved: float
-    rect_mean_retrieved: float
+    n_events: int = 0
+    cell_retrieved_total: float = 0.0
+    rect_retrieved_total: float = 0.0
+    cell_mean_retrieved: float = 0.0
+    rect_mean_retrieved: float = 0.0
 
 
 @dataclass
@@ -403,47 +406,39 @@ class CompareResult:
 
 
 def gap_statistics(
-    models: dict,
-    bmodel: BoundsModel,
-    batches: dict,
+    model: ShardModel,
+    batch: EncodedBatch,
+    rects: list,
     world: World,
-    matched_lambdas: dict,
+    lam: float,
 ) -> GapStats:
-    """Count retrieved band listings for the gap destination's searches,
-    from the band's active listings that seat the party: under the
-    classifier, those whose cell's probability reaches the matched cutoff;
-    under the baseline, those inside the search's rectangle."""
+    """Count retrieved band listings for the gap destination's searches in
+    the batch of its shard, from the band's active listings that seat the
+    party: under the classifier, those whose cell's probability reaches
+    the cutoff lam; under the baseline, those inside the search's
+    rectangle, rects[r] for batch row r."""
 
     gap = world.gap
-    dest = next(d for d in world.destinations if d.dest_id == gap.dest_id)
-    shard = dest.continent
-
-    empty = GapStats(gap.dest_id, shard, 0, 0.0, 0.0, 0.0, 0.0)
-    if shard not in batches or shard not in models or shard not in matched_lambdas:
-        return empty
-    batch = batches[shard]
     rows = np.flatnonzero(batch.dest_ids == gap.dest_id)
     if rows.size == 0:
-        return empty
+        return GapStats(gap.dest_id, batch.shard)
     gb = batch.take(rows)
     n = len(gb)
     store = world.listings
     band = np.flatnonzero(np.isin(store.ids, gap.listing_ids) & store.active)
     seats = store.capacities[band] >= gb.num_guests[:, None]  # (n, band)
 
-    model = models[shard]
     col = model.vocab.lookup_array(store.cells[band])
     cell_total = 0.0
     for lo, hi, probs in _prob_chunks(model, gb):
-        reached = (probs[:, np.maximum(col, 0)] >= matched_lambdas[shard]) & (col >= 0)
+        reached = (probs[:, np.maximum(col, 0)] >= lam) & (col >= 0)
         cell_total += np.count_nonzero(reached & seats[lo:hi])
-    rects = bmodel.predict_bounds(gb, destination_coords(gb, world.destinations))
-    inside = [rect.contains(store.lats[band], store.lngs[band]) for rect in rects]
+    inside = [rects[r].contains(store.lats[band], store.lngs[band]) for r in rows]
     rect_total = float(np.count_nonzero(np.array(inside) & seats))
 
     return GapStats(
         dest_id=gap.dest_id,
-        shard=shard,
+        shard=batch.shard,
         n_events=n,
         cell_retrieved_total=cell_total,
         rect_retrieved_total=rect_total,
@@ -465,15 +460,18 @@ def run_compare(
     classifier's cutoff is chosen by exact quantile over booked-cell
     probabilities, so the recall difference is bounded by one event plus
     ties at the cutoff. Precision is then compared destination-aggregated,
-    pooled over every destination of every shard.
+    pooled over every destination of every shard. The gap band is counted
+    in the gap destination's shard, at its matched cutoff and under the
+    rectangles its baseline evaluation predicted.
     """
 
     shards = [s for s in SHARDS if s in models and s in batches]
     if not shards:
         raise DataError("no shard has both a model and evaluation events")
 
+    gap_dest = world.gap.dest_id
+    gap = GapStats(gap_dest, next(d.continent for d in world.destinations if d.dest_id == gap_dest))
     comparisons = []
-    matched = {}
     cell_dest_prec = []
     base_dest_prec = []
     for shard in shards:
@@ -497,13 +495,13 @@ def run_compare(
                 delta_recall=cell_point.recall - base.point.recall,
             )
         )
-        matched[shard] = lam
+        if shard == gap.shard:
+            gap = gap_statistics(model, batch, base.rects, world, lam)
         cell_dest_prec.append(sweep.dest_precisions[:, 0])
         base_dest_prec.append(base.dest_precisions)
 
     pooled_cell = float(np.concatenate(cell_dest_prec).mean())
     pooled_base = float(np.concatenate(base_dest_prec).mean())
-    gap = gap_statistics(models, bmodel, batches, world, matched)
     return CompareResult(
         shards=comparisons,
         pooled_cell_precision_dest=pooled_cell,

@@ -5,14 +5,16 @@ exactly one posting (its retrieval-level cell), so posting lengths sum
 to the active-listing count. Inactive listings are reachable through a
 linear scan fallback (active_only=False), never through postings.
 
-The index holds each posting twice, as store rows:
-  * in id order (`posting_rows`, `posting_ids`): the postings file and
-    its check are rendered from this copy;
-  * in capacity order, largest first, ties in id order: the serving
-    copy. The listings of a posting that seat g guests are a prefix of
-    it, and `_seats[k, g]` is that prefix's length for posting k and
-    g = 0 .. largest capacity + 1 (the last column is all zeros).
-Both copies and the prefix table are built once and are read-only.
+The index holds each posting once, as store rows in capacity order,
+largest first, ties in id order. The listings of a posting that seat g
+guests are a prefix of it. Seat columns are ranked by capacity: column
+j stands for `_levels[j]`, the j-th smallest distinct active capacity,
+and `_seats[k, j]` is the length of posting k's prefix of capacity >=
+`_levels[j]`; the last column is all zeros. A party of g guests reads
+the column of the smallest level >= g. The postings file is rendered
+from `posting_ids`, which puts each posting back in id order when read.
+The postings, the levels and the prefix table are built once and are
+read-only.
 
 Retrieval semantics:
   * retrieve_cells: listings whose cell is in the query set, with
@@ -54,27 +56,24 @@ class ListingIndex:
 
     def __init__(self, listings):
         self.listings = listings
-        # Active rows grouped by cell; rows are in id order, so the stable
-        # sort keeps each posting in id order.
         rows = np.flatnonzero(listings.active)
-        rows = rows[np.argsort(listings.cells[rows], kind="stable")]
-        self.posting_cells, starts = np.unique(listings.cells[rows], return_index=True)
-        self.posting_offsets = np.append(starts, rows.size).astype(np.int64)
-        self._posting_rows = rows
-
-        # The serving copy: one stable sort on (posting, capacity
-        # descending) keeps id order within each capacity.
+        self.posting_cells, posting = np.unique(listings.cells[rows], return_inverse=True)
+        self.posting_offsets = np.append(0, np.cumsum(np.bincount(posting, minlength=self.posting_cells.size)))
+        # One seat column per distinct active capacity, ranked ascending,
+        # so the table's width does not depend on how large a capacity is.
         caps = listings.capacities[rows]
-        width = int(caps.max(initial=0)) + 2
-        posting = np.repeat(np.arange(self.posting_cells.size), np.diff(self.posting_offsets))
-        key = posting * width + (width - 1 - caps)
+        self._levels = sorted_unique(caps)
+        rank = np.searchsorted(self._levels, caps)
+        width = self._levels.size + 1
+        # Rows are in id order, so one stable sort on (posting, capacity
+        # descending) keeps id order within each capacity.
+        key = posting * width + (width - 1 - rank)
         self._by_capacity = rows[np.argsort(key, kind="stable")].astype(np.int32)
-        # Reverse cumulative sum over capacities: counts of capacity >= g.
-        hist = np.bincount(posting * width + caps, minlength=self.posting_cells.size * width)
+        # Reverse cumulative sum over ranks: counts of capacity >= level.
+        hist = np.bincount(posting * width + rank, minlength=self.posting_cells.size * width)
         self._seats = np.cumsum(hist.reshape(-1, width)[:, ::-1], axis=1)[:, ::-1]
 
-        for array in (self.posting_cells, self.posting_offsets, self._posting_rows,
-                      self._by_capacity, self._seats):
+        for array in (self.posting_cells, self.posting_offsets, self._levels, self._by_capacity, self._seats):
             array.flags.writeable = False
 
     @classmethod
@@ -88,12 +87,15 @@ class ListingIndex:
 
     @property
     def n_active(self) -> int:
-        return int(self._posting_rows.size)
+        return int(self.posting_offsets[-1])
 
     @property
     def posting_ids(self) -> np.ndarray:
-        """Listing ids of every posting, concatenated in posting order."""
-        return self.listings.ids[self._posting_rows]
+        """Listing ids of every posting, concatenated in posting order,
+        each posting in id order."""
+        n = len(self.listings)
+        posting = np.repeat(np.arange(self.posting_cells.size), np.diff(self.posting_offsets))
+        return self.listings.ids[np.sort(posting * n + self._by_capacity) % n]
 
     def _find(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each cell's posting number, and whether the cell has a posting."""
@@ -102,22 +104,14 @@ class ListingIndex:
         found[found] = self.posting_cells[k[found]] == cells[found]
         return k, found
 
-    def _slices(self, postings: np.ndarray, k: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The first lengths[i] entries of posting k[i] in `postings` (one
-        of the two copies), concatenated in the order of k."""
+    def _slices(self, k: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The first lengths[i] rows of posting k[i], concatenated in the
+        order of k."""
         starts = self.posting_offsets[k]
         # Row t of the output is entry t - (output offset of its slice) +
         # (start of its slice).
         shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        return postings[shift + np.arange(shift.size)]
-
-    def posting_rows(self, cells) -> np.ndarray:
-        """Store rows of the active listings posted under the given
-        distinct cells, posting by posting in the order of cells."""
-        cells = np.asarray(cells, dtype=np.uint64)
-        k, found = self._find(cells)
-        k = k[found]
-        return self._slices(self._posting_rows, k, self.posting_offsets[k + 1] - self.posting_offsets[k])
+        return self._by_capacity[shift + np.arange(shift.size)]
 
     def seated_rows(self, cells, num_guests: int) -> np.ndarray:
         """Store rows of the active listings posted under the given
@@ -126,8 +120,7 @@ class ListingIndex:
         cells = np.asarray(cells, dtype=np.uint64)
         k, found = self._find(cells)
         k = k[found]
-        g = min(max(int(num_guests), 0), self._seats.shape[1] - 1)
-        return self._slices(self._by_capacity, k, self._seats[k, g])
+        return self._slices(k, self._seats[k, np.searchsorted(self._levels, num_guests)])
 
     def retrieve_cells(self, cells, num_guests: int = 1, active_only: bool = True):
         """Sorted listing ids in any of the cells, capacity-filtered."""
@@ -153,7 +146,7 @@ class ListingIndex:
         for g in 0..max_guests. Cells absent from the postings give 0."""
         cells = np.asarray(cells, dtype=np.uint64)
         k, found = self._find(cells)
-        columns = np.minimum(np.arange(max_guests + 1), self._seats.shape[1] - 1)
+        columns = np.searchsorted(self._levels, np.arange(max_guests + 1))
         table = np.zeros((cells.size, columns.size), dtype=self._seats.dtype)
         table[found] = self._seats[k[found][:, None], columns]
         return table

@@ -1,12 +1,14 @@
 """Sweep metrics, recall matching, baseline scoring, and artifact writers."""
 
+import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cellsearch.baseline import bounds_to_cellset, destination_coords
+from cellsearch.baseline import BoundsModel, bounds_to_cellset, destination_coords
 from cellsearch.errors import ConfigError, DataError
 from cellsearch.evaluation import (
     FULL_SCALE_REFERENCE_LAMBDAS,
@@ -24,6 +26,7 @@ from cellsearch.evaluation import (
 )
 from cellsearch.features import SHARDS
 from cellsearch.index import ListingIndex
+from cellsearch.model import ShardModel
 from cellsearch.svg import sweep_svg_text, write_sweep_svg
 
 
@@ -177,6 +180,7 @@ def test_evaluate_baseline_matches_naive(stack):
 
     coords = destination_coords(batch, world.destinations)
     rects = bmodel.predict_bounds(batch, coords)
+    assert result.rects == rects  # kept for the gap statistics
     n = len(batch)
     hits = 0
     cells_total = 0
@@ -236,19 +240,82 @@ def test_run_compare_matches_recall(stack, compared):
     if gap.n_events:
         assert gap.cell_mean_retrieved == pytest.approx(gap.cell_retrieved_total / gap.n_events)
         assert gap.rect_mean_retrieved == pytest.approx(gap.rect_retrieved_total / gap.n_events)
+    # The gap band is counted at the gap shard's matched cutoff, under the
+    # rectangles of that shard's baseline evaluation.
+    comp = next(c for c in result.shards if c.shard == gap.shard)
+    batch = eval_batches[gap.shard]
+    base = evaluate_baseline(bmodel, batch, world.destinations, index)
+    assert gap == gap_statistics(models[gap.shard], batch, base.rects, world, comp.matched_lambda)
+
+
+def test_run_compare_predicts_each_search_once(stack, monkeypatch):
+    """Per shard, compare predicts each search's rectangle once and its
+    class probabilities twice (booked-cell probabilities, then the
+    matched cutoff), plus once more for the gap destination's searches."""
+    world, pipeline, eval_batches, models, bmodel, index = stack
+    callers = ("evaluate_baseline", "booked_cell_probs", "sweep_shard", "gap_statistics")
+    rows = Counter()
+
+    def counted(method):
+        def wrapper(self, batch, *args):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name not in callers:
+                frame = frame.f_back
+            rows[method.__name__, frame.f_code.co_name, batch.shard] += len(batch)
+            return method(self, batch, *args)
+        return wrapper
+
+    monkeypatch.setattr(BoundsModel, "predict_bounds", counted(BoundsModel.predict_bounds))
+    monkeypatch.setattr(ShardModel, "predict_probs", counted(ShardModel.predict_probs))
+    result = run_compare(models, bmodel, eval_batches, world, index)
+
+    want = Counter()
+    for shard in SHARDS:
+        n = len(eval_batches[shard])
+        want["predict_bounds", "evaluate_baseline", shard] = n
+        want["predict_probs", "booked_cell_probs", shard] = n
+        want["predict_probs", "sweep_shard", shard] = n
+    assert result.gap.n_events > 0
+    want["predict_probs", "gap_statistics", result.gap.shard] = result.gap.n_events
+    assert rows == want
+
+
+def test_run_compare_reports_a_zero_gap_section(stack):
+    """The [gap] section reads zero when the gap destination has no
+    evaluation searches, and when its shard has no batch."""
+    world, pipeline, eval_batches, models, bmodel, index = stack
+    shard = _gap_shard(world)
+    batch = eval_batches[shard]
+    without_dest = batch.take(np.flatnonzero(batch.dest_ids != world.gap.dest_id))
+    other = next(s for s in SHARDS if s != shard)
+    for batches in ({shard: without_dest}, {other: eval_batches[other]}):
+        result = run_compare(models, bmodel, batches, world, index)
+        assert [c.shard for c in result.shards] == list(batches)
+        assert format_report(result).split("[gap]\n")[1] == (
+            f"dest_id {world.gap.dest_id}\nshard {shard}\nn_events 0\n"
+            "cell_retrieved_total 0\nrect_retrieved_total 0\n"
+            "cell_mean_retrieved 0\nrect_mean_retrieved 0\n"
+        )
 
 
 def _gap_shard(world):
     return next(d for d in world.destinations if d.dest_id == world.gap.dest_id).continent
 
 
-def _expected_gap_totals(world, eval_batches, models, bmodel, lam):
+def _gap_rects(world, eval_batches, bmodel):
+    """The gap shard's batch and the baseline rectangle of each of its
+    searches."""
+    batch = eval_batches[_gap_shard(world)]
+    return batch, bmodel.predict_bounds(batch, destination_coords(batch, world.destinations))
+
+
+def _expected_gap_totals(world, batch, rects, models, lam):
     """Both routes' band counts by brute force: the classifier's through
     retrieve_cells on an index of the whole store, the rectangle's by a
-    scan of the band."""
+    scan of the band in each gap search's rectangle."""
     shard = _gap_shard(world)
-    batch = eval_batches[shard]
-    gb = batch.take(np.flatnonzero(batch.dest_ids == world.gap.dest_id))
+    rows = np.flatnonzero(batch.dest_ids == world.gap.dest_id)
+    gb = batch.take(rows)
     index = ListingIndex.build(world.listings)
     gap_ids = set(world.gap.listing_ids)
     model = models[shard]
@@ -259,12 +326,10 @@ def _expected_gap_totals(world, eval_batches, models, bmodel, lam):
         selected = classes[probs[e] >= lam]
         ids = index.retrieve_cells(selected, int(gb.num_guests[e]))
         expected_cell += sum(1 for i in ids if int(i) in gap_ids)
-    coords = destination_coords(gb, world.destinations)
-    rects = bmodel.predict_bounds(gb, coords)
     store = world.listings
     band = [int(np.flatnonzero(store.ids == i)[0]) for i in world.gap.listing_ids]
     expected_rect = 0
-    for e, rect in enumerate(rects):
+    for e, rect in enumerate(rects[i] for i in rows):
         for r in band:
             seats = store.capacities[r] >= gb.num_guests[e]
             if store.active[r] and seats and rect.contains(store.lats[r], store.lngs[r]):
@@ -276,13 +341,14 @@ def test_gap_statistics_counts_band_listings(stack):
     world, pipeline, eval_batches, models, bmodel, index = stack
     shard = _gap_shard(world)
     lam = 1e-4
-    stats = gap_statistics(models, bmodel, eval_batches, world, {shard: lam})
-    batch = eval_batches[shard]
+    batch, rects = _gap_rects(world, eval_batches, bmodel)
+    stats = gap_statistics(models[shard], batch, rects, world, lam)
+    assert stats.shard == shard
     rows = np.flatnonzero(batch.dest_ids == world.gap.dest_id)
     assert stats.n_events == rows.size
     if rows.size == 0:
         return
-    expected_cell, expected_rect = _expected_gap_totals(world, eval_batches, models, bmodel, lam)
+    expected_cell, expected_rect = _expected_gap_totals(world, batch, rects, models, lam)
     assert stats.cell_retrieved_total == pytest.approx(expected_cell, abs=1e-9)
     assert stats.rect_retrieved_total == pytest.approx(expected_rect, abs=1e-9)
 
@@ -303,10 +369,11 @@ def test_gap_statistics_skips_inactive_band_listings(stack):
     active[np.flatnonzero(np.isin(store.ids, band_ids) & active)[::3]] = False
     damped = replace(wide, listings=replace(store, active=active))
 
-    full = gap_statistics(models, bmodel, eval_batches, wide, {shard: lam})
-    stats = gap_statistics(models, bmodel, eval_batches, damped, {shard: lam})
+    batch, rects = _gap_rects(world, eval_batches, bmodel)
+    full = gap_statistics(models[shard], batch, rects, wide, lam)
+    stats = gap_statistics(models[shard], batch, rects, damped, lam)
     assert stats.n_events > 0
-    expected = _expected_gap_totals(damped, eval_batches, models, bmodel, lam)
+    expected = _expected_gap_totals(damped, batch, rects, models, lam)
     assert (stats.cell_retrieved_total, stats.rect_retrieved_total) == expected
     assert 0 < stats.cell_retrieved_total < full.cell_retrieved_total
     assert 0 < stats.rect_retrieved_total < full.rect_retrieved_total

@@ -11,11 +11,15 @@ package has one owner: `EVAL_CHUNK` is assigned in one module, the
 `"format_version"` key of JSON artifacts is written and read only in
 `datagen`, and only `s2geom/cellid.py` imports the Hilbert curve. The
 trunk settings both models share are declared as class fields only in
-`nn`, where `TrunkConfig` holds them.
+`nn`, where `TrunkConfig` holds them. Every (module, attribute) the
+benchmark's tracer wraps (`TARGETS` in `bench/tracing.py`, read as
+source) names something the package has, since `Tracer.install` fails
+on a missing one.
 """
 
 import ast
 import glob
+import importlib
 import os
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -25,6 +29,7 @@ SOURCES = sorted(
     for path in glob.glob(os.path.join(REPO, tree, "**", "*.py"), recursive=True)
     if os.path.basename(path) != "__init__.py"
 )
+TRACING = os.path.join(REPO, "bench", "tracing.py")
 # Fields of nn.TrunkConfig that no other class in the package declares.
 TRUNK_FIELDS = ("embed_dim", "learning_rate", "patience", "batch_size", "dtype")
 
@@ -150,3 +155,26 @@ def test_each_format_has_one_owner():
     assert owners["hilbert"] == ["src/cellsearch/s2geom/cellid.py"]
     for name in TRUNK_FIELDS:
         assert owners[name] == ["src/cellsearch/nn.py"], name
+
+
+def traced_names(source: str) -> list:
+    """(module, attribute) of every entry of the top-level TARGETS tuple."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return [(entry.elts[1].value, entry.elts[2].value) for entry in node.value.elts]
+    return []
+
+
+def test_every_traced_name_resolves():
+    with open(TRACING, encoding="utf-8") as f:
+        names = traced_names(f.read())
+    assert ("cellsearch.evaluation", "gap_statistics") in names
+    assert ("cellsearch.model", "ShardModel.predict_probs") in names
+    missing = []
+    for module, attribute in names:
+        obj = importlib.import_module(module)
+        for part in attribute.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{attribute}")
+    assert missing == []

@@ -2,6 +2,7 @@
 scans, capacity filters, persistence, and concurrent reads."""
 
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ def brute_force_cells(world, cell_set, num_guests, active_only=True):
     return np.array(sorted(out), dtype=np.int64)
 
 
+def brute_force_seated(world, cell, num_guests):
+    """Store rows of the active listings in the cell that seat the party,
+    largest capacity first, ties in id order."""
+    store = world.listings
+    rows = [
+        r for r, (_, _, _, capacity, active, c) in enumerate(listing_rows(store))
+        if active and c == int(cell) and capacity >= num_guests
+    ]
+    return np.array(sorted(rows, key=lambda r: (-int(store.capacities[r]), int(store.ids[r]))), dtype=np.int64)
+
+
 def brute_force_rect(world, rect, num_guests):
     out = []
     for lid, lat, lng, capacity, active, _ in listing_rows(world.listings):
@@ -63,22 +75,33 @@ def test_postings_partition_active_listings(world, index):
     assert lengths.sum() == index.n_active
     assert np.all(lengths > 0)
     assert np.all(np.diff(index.posting_cells.astype(np.int64)) > 0)
+    ids = index.posting_ids
     active_ids = set(world.listings.ids[world.listings.active].tolist())
-    assert set(index.posting_ids.tolist()) == active_ids
-    for k in range(0, index.posting_cells.size, 37):
+    assert set(ids.tolist()) == active_ids
+    # posting_ids gives each posting in id order, as the postings file lists it.
+    by_cell = {}
+    for lid, _, _, _, active, cell in listing_rows(world.listings):
+        if active:
+            by_cell.setdefault(cell, []).append(lid)
+    for k, cell in enumerate(index.posting_cells.tolist()):
         lo, hi = index.posting_offsets[k], index.posting_offsets[k + 1]
-        chunk = index.posting_ids[lo:hi]
-        assert np.all(np.diff(chunk) > 0)
+        assert ids[lo:hi].tolist() == sorted(by_cell[cell])
 
 
 def test_posting_accessor_matches_brute_force(world, index):
     rng = np.random.default_rng(0)
-    for cell in rng.choice(index.posting_cells, size=10, replace=False):
-        want = brute_force_cells(world, {int(cell)}, 1)
-        np.testing.assert_array_equal(world.listings.ids[index.posting_rows([cell])], want)
+    cells = rng.choice(index.posting_cells, size=10, replace=False)
+    for cell in cells:
+        for guests in (0, 1, 4):
+            want = brute_force_seated(world, cell, guests)
+            np.testing.assert_array_equal(index.seated_rows([cell], guests), want)
+    # Several cells come back posting by posting, in the order asked.
+    np.testing.assert_array_equal(
+        index.seated_rows(cells, 0), np.concatenate([brute_force_seated(world, c, 0) for c in cells])
+    )
     absent = int(cell_from_latlng(0.0, 0.0, 11))  # open ocean
     if absent not in set(index.posting_cells.tolist()):
-        assert index.posting_rows([absent]).size == 0
+        assert index.seated_rows([absent], 0).size == 0
 
 
 def test_retrieve_cells_matches_brute_force(world, index):
@@ -101,9 +124,9 @@ def test_retrieve_cells_matches_brute_force(world, index):
             )
             got_all = index.retrieve_cells(query, num_guests=guests, active_only=False)
             np.testing.assert_array_equal(got_all, want_all)
-        rows = index.posting_rows(np.unique(query))
+        rows = index.seated_rows(np.unique(query), 0)
         np.testing.assert_array_equal(
-            np.sort(index.listings.ids[rows]), brute_force_cells(world, set(query.tolist()), 1)
+            np.sort(index.listings.ids[rows]), brute_force_cells(world, set(query.tolist()), 0)
         )
 
 
@@ -182,22 +205,31 @@ def test_capacity_count_table_matches_brute_force(world, index):
 
 
 def test_capacity_order_is_a_permutation_of_each_posting(world, index):
-    caps = world.listings.capacities
-    for k in range(index.posting_cells.size):
+    store = world.listings
+    caps = store.capacities
+    by_cell = {}
+    for r, (_, _, _, _, active, cell) in enumerate(listing_rows(store)):
+        if active:
+            by_cell.setdefault(cell, []).append(r)
+    assert index.posting_cells.tolist() == sorted(by_cell)
+    # One seat column per distinct active capacity, plus the empty one.
+    assert index._levels.tolist() == sorted({int(c) for c in caps[store.active]})
+    assert index._seats.shape == (index.posting_cells.size, index._levels.size + 1)
+    for k, cell in enumerate(index.posting_cells.tolist()):
         lo, hi = index.posting_offsets[k], index.posting_offsets[k + 1]
-        by_id = index._posting_rows[lo:hi]
         by_capacity = index._by_capacity[lo:hi]
-        np.testing.assert_array_equal(np.sort(by_capacity), by_id)
+        np.testing.assert_array_equal(np.sort(by_capacity), by_cell[cell])
         # Capacity descending, and ids ascending among equal capacities.
         step = np.diff(caps[by_capacity])
         assert np.all(step <= 0)
-        assert np.all(np.diff(world.listings.ids[by_capacity])[step == 0] > 0)
-        for g in range(index._seats.shape[1]):
-            assert index._seats[k, g] == np.count_nonzero(caps[by_id] >= g)
+        assert np.all(np.diff(store.ids[by_capacity])[step == 0] > 0)
+        for j, level in enumerate(index._levels.tolist()):
+            assert index._seats[k, j] == np.count_nonzero(caps[by_cell[cell]] >= level)
+        assert index._seats[k, -1] == 0
 
 
 def test_postings_are_read_only(index):
-    for name in ("posting_cells", "posting_offsets", "_posting_rows", "_by_capacity", "_seats"):
+    for name in ("posting_cells", "posting_offsets", "_levels", "_by_capacity", "_seats"):
         array = getattr(index, name)
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[-1]
@@ -296,12 +328,34 @@ def test_all_inactive_store_uses_scan_fallback():
     cell = int(cell_from_latlng(10.0, 20.0, 11))
     for guests in (-1, 0, 2, 3):
         assert idx.retrieve_cells([cell], num_guests=guests).size == 0
-    assert idx.posting_rows([cell]).size == 0
+    assert idx.seated_rows([cell], 0).size == 0
     table = idx.capacity_count_table([cell, cell], max_guests=4)
     np.testing.assert_array_equal(table, np.zeros((2, 5)))
     got = idx.retrieve_cells([cell], active_only=False)
     want = [i for i, lat in enumerate(lats) if int(cell_from_latlng(lat, 20.0, 11)) == cell]
     np.testing.assert_array_equal(got, np.array(sorted(want), dtype=np.int64))
+
+
+def test_capacities_of_any_size_are_ranked():
+    """Seat columns follow the distinct capacities, not their size: a
+    listing that seats 10**12 guests indexes like any other."""
+    lats = [10.0 + 0.02 * i for i in range(9)]
+    caps = [1, 3, 10**12, 3, 1, 10**12, 3, 1, 1]
+    active = [True] * 8 + [False]
+    store = ListingStore.from_columns(range(9), lats, [20.0] * 9, caps, active)
+    idx = ListingIndex.build(store)
+    assert idx._levels.tolist() == [1, 3, 10**12]
+    world = SimpleNamespace(listings=store)
+    cells = idx.posting_cells
+    for guests in (-1, 0, 1, 3, 4, 10**12, 10**12 + 1):
+        want = np.concatenate([brute_force_seated(world, c, guests) for c in cells])
+        np.testing.assert_array_equal(idx.seated_rows(cells, guests), want)
+        got = idx.retrieve_cells(cells, num_guests=guests)
+        np.testing.assert_array_equal(got, brute_force_cells(world, set(cells.tolist()), guests))
+    table = idx.capacity_count_table(cells, max_guests=5)
+    for i, cell in enumerate(cells.tolist()):
+        for g in range(6):
+            assert table[i, g] == brute_force_seated(world, cell, g).size
 
 
 def test_build_rejects_bad_stores():
