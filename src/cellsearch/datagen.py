@@ -89,8 +89,9 @@ class GenConfig:
             raise ConfigError(f"pan_discovery_rate {self.pan_discovery_rate} invalid")
         # Every continent needs a destination: a shard without one has no
         # training searches, and the gap band is engineered in AMER.
-        if len(self.continent_mix) != 3 or not all(0 < w < math.inf for w in self.continent_mix):
-            raise ConfigError(f"continent_mix must be 3 positive weights, got {list(self.continent_mix)}")
+        mix = self.continent_mix
+        if len(mix) != 3 or not all(0 < w < math.inf for w in mix) or not sum(mix) < math.inf:
+            raise ConfigError(f"continent_mix must be 3 positive weights with a finite sum, got {list(mix)}")
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,10 @@ class ListingStore:
 
     def __len__(self) -> int:
         return self.ids.size
+
+    def take(self, rows) -> "ListingStore":
+        """The listings at the given rows; ascending rows keep id order."""
+        return ListingStore(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ListingStore) and all(
@@ -790,11 +795,13 @@ def read_events(path) -> list[SearchEvent]:
     seen, cells = set(), set()  # search ids so far; booked cells found valid
 
     def parse(p):
-        search_id, dest_id, guests, nights, cell = int(p[0]), int(p[1]), int(p[3]), int(p[6]), int(p[9])
+        numbers = int(p[0]), int(p[1]), int(p[3]), int(p[6]), int(p[8])
+        search_id, dest_id, guests, nights, booked = numbers
+        cell = int(p[9])
         if guests < 1 or nights < 1:
             raise DataError(f"num_guests {guests} or trip_length_nights {nights} is below 1")
-        if search_id not in _INT64 or dest_id not in _INT64 or guests not in _INT64:
-            raise DataError("search_id, dest_id or num_guests does not fit in 64 bits")
+        if min(numbers) not in _INT64 or max(numbers) not in _INT64:
+            raise DataError("an id, num_guests or trip_length_nights does not fit in 64 bits")
         for k in (4, 7, 10):
             if p[k] not in _FLAGS:
                 raise DataError(f"{EVENT_FIELDS[k]} {p[k]!r} is not 0 or 1")
@@ -807,7 +814,7 @@ def read_events(path) -> list[SearchEvent]:
         seen.add(search_id)
         return SearchEvent(
             search_id, dest_id, p[2], guests, p[4] == "1", p[5],
-            nights, p[7] == "1", int(p[8]), cell, p[10] == "1",
+            nights, p[7] == "1", booked, cell, p[10] == "1",
         )
 
     return _read_tsv(path, EVENT_FIELDS, parse)

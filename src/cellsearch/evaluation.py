@@ -196,13 +196,11 @@ def sweep_shard(
     dest_ids, didx = np.unique(batch.dest_ids, return_inverse=True)
     n_dests = dest_ids.size
 
-    # Listings passing the capacity filter per (cell, guest count), as
-    # retrieve_cells keeps them: capacity >= num_guests. Parties beyond
-    # every listing's capacity share the all-zero row at `top`.
-    top = int(index.listings.capacities.max(initial=0)) + 1
-    guests = np.minimum(batch.num_guests, top)
-    npass = index.capacity_count_table(model.vocab.classes, int(guests.max()))
-    npass_by_guests = np.ascontiguousarray(npass.T, dtype=np.float64)  # (g+1, k)
+    # Listings passing the capacity filter per (cell, distinct party), as
+    # retrieve_cells keeps them: capacity >= num_guests.
+    parties, party = np.unique(batch.num_guests, return_inverse=True)
+    npass = index.capacity_count_table(model.vocab.classes, parties)
+    npass_by_party = np.ascontiguousarray(npass.T, dtype=np.float64)  # (parties, k)
 
     booked_probs = np.empty(n)
     cell_counts = np.zeros((n, n_lam))
@@ -223,7 +221,7 @@ def sweep_shard(
         suffix = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1]
         cell_counts[lo:hi] = suffix[:, 1:]
 
-        weights = npass_by_guests[guests[lo:hi]]  # (chunk, k)
+        weights = npass_by_party[party[lo:hi]]  # (chunk, k)
         whist = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=(hi - lo) * (n_lam + 1))
         whist = whist.reshape(hi - lo, n_lam + 1)
         wsuffix = np.cumsum(whist[:, ::-1], axis=1)[:, ::-1]
@@ -413,10 +411,11 @@ def gap_statistics(
     lam: float,
 ) -> GapStats:
     """Count retrieved band listings for the gap destination's searches in
-    the batch of its shard, from the band's active listings that seat the
-    party: under the classifier, those whose cell's probability reaches
-    the cutoff lam; under the baseline, those inside the search's
-    rectangle, rects[r] for batch row r."""
+    the batch of its shard. The band gets its own index, which each route
+    counts as it counts the whole store: the classifier by sweep_shard at
+    the cutoff lam, the baseline by _rect_counts in the searches'
+    rectangles, rects[r] for batch row r, with all band postings as the
+    covering (a superset of the band listings in any rectangle)."""
 
     gap = world.gap
     rows = np.flatnonzero(batch.dest_ids == gap.dest_id)
@@ -425,26 +424,12 @@ def gap_statistics(
     gb = batch.take(rows)
     n = len(gb)
     store = world.listings
-    band = np.flatnonzero(np.isin(store.ids, gap.listing_ids) & store.active)
-    seats = store.capacities[band] >= gb.num_guests[:, None]  # (n, band)
-
-    col = model.vocab.lookup_array(store.cells[band])
-    cell_total = 0.0
-    for lo, hi, probs in _prob_chunks(model, gb):
-        reached = (probs[:, np.maximum(col, 0)] >= lam) & (col >= 0)
-        cell_total += np.count_nonzero(reached & seats[lo:hi])
-    inside = [rects[r].contains(store.lats[band], store.lngs[band]) for r in rows]
-    rect_total = float(np.count_nonzero(np.array(inside) & seats))
-
-    return GapStats(
-        dest_id=gap.dest_id,
-        shard=batch.shard,
-        n_events=n,
-        cell_retrieved_total=cell_total,
-        rect_retrieved_total=rect_total,
-        cell_mean_retrieved=cell_total / n,
-        rect_mean_retrieved=rect_total / n,
-    )
+    # The constructor, not build: an empty band indexes to no postings.
+    band = ListingIndex(store.take(np.flatnonzero(np.isin(store.ids, gap.listing_ids))))
+    # The total is an integer below 2**51, so the mean times n rounds back to it.
+    by_cell = round(float(sweep_shard(model, gb, band, [lam]).mean_retrieved[0]) * n)
+    by_rect = int(_rect_counts(band, [rects[r] for r in rows], [band.posting_cells] * n, gb.num_guests).sum())
+    return GapStats(gap.dest_id, batch.shard, n, float(by_cell), float(by_rect), by_cell / n, by_rect / n)
 
 
 def run_compare(

@@ -23,7 +23,8 @@ Retrieval semantics:
     postings, then post-filter to listings whose exact point lies in
     the rect. The covering is a superset of every intersecting cell, so
     the post-filter makes the result exact.
-  * capacity_count_table: prefix lengths, read from `_seats`.
+  * capacity_count_table: prefix lengths, read from `_seats`, one
+    column per given party.
 """
 
 from __future__ import annotations
@@ -141,12 +142,13 @@ class ListingIndex:
         rows = np.searchsorted(self.listings.ids, ids)
         return ids[rect.contains(self.listings.lats[rows], self.listings.lngs[rows])]
 
-    def capacity_count_table(self, cells, max_guests: int) -> np.ndarray:
-        """counts[i, g] = active listings in cells[i] with capacity >= g,
-        for g in 0..max_guests. Cells absent from the postings give 0."""
+    def capacity_count_table(self, cells, parties) -> np.ndarray:
+        """counts[i, j] = active listings in cells[i] with capacity >=
+        parties[j], one column per given party. Cells absent from the
+        postings, and parties larger than every capacity, give 0."""
         cells = np.asarray(cells, dtype=np.uint64)
         k, found = self._find(cells)
-        columns = np.searchsorted(self._levels, np.arange(max_guests + 1))
+        columns = np.searchsorted(self._levels, parties)
         table = np.zeros((cells.size, columns.size), dtype=self._seats.dtype)
         table[found] = self._seats[k[found][:, None], columns]
         return table

@@ -191,7 +191,8 @@ def test_degenerate_continent_mix():
     # A continent without weight would get no destination: its shard has no
     # training searches, and without AMER there is no gap band.
     nan, inf = float("nan"), float("inf")
-    for mix in ((1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, nan, 1.0), (1.0, inf, 1.0)):
+    # Three finite weights whose sum overflows cannot be normalized either.
+    for mix in ((1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, nan, 1.0), (1.0, inf, 1.0), (1e308, 1e308, 1e308)):
         with pytest.raises(ConfigError, match="continent_mix must be 3 positive weights"):
             GenConfig(continent_mix=mix)
 
@@ -376,12 +377,14 @@ def test_listings_round_trip_without_rows_or_a_last_newline(tmp_path, small_data
         (9, str(int(cell_from_latlng(10.0, 20.0, 12))), "is not a level-11 cell id"),
         (9, str(7 << 61 | 1 << 38), "is not a level-11 cell id"),
         (0, str(2**63), "does not fit in 64 bits"),
+        (6, str(2**64), "does not fit in 64 bits"),
+        (8, str(2**64), "does not fit in 64 bits"),
         (0, "{line_3_search_id}", "search id \\d+ repeats"),
     ],
     ids=[
         "guests-0", "guests-negative", "nights-negative", "mobile-2", "weekend-empty",
         "outlier-true", "cell-negative", "cell-2-to-60", "cell-level-12", "cell-face-7",
-        "search-id-64-bits", "repeated-search-id",
+        "search-id-64-bits", "nights-65-bits", "booked-id-65-bits", "repeated-search-id",
     ],
 )
 def test_bad_event_row_names_its_line(tmp_path, small_dataset, field, value, message):

@@ -91,6 +91,50 @@ def _check_sweep_against_naive(model, batch, index):
     assert result.n_classes == len(model.vocab)
 
 
+def test_sweep_reads_one_column_per_distinct_party(stack, monkeypatch):
+    """The capacity table sweep_shard reads has one column per distinct
+    party of the batch, however large the parties, and its listing counts
+    match a recount over the store's columns. One listing seats 10**12."""
+    world, pipeline, eval_batches, models, bmodel, index = stack
+    model = models["EU"]
+    parties = [1, 3, 80000, 10**12, 10**12 + 1]
+    batch = eval_batches["EU"].take(np.arange(40))
+    batch.num_guests[:] = np.resize(parties, len(batch))
+    probs = model.predict_probs(batch).astype(np.float64)
+    # The 10**12 seats go to a listing in the cell search 3 (a party of
+    # 10**12) ranks highest, so that search retrieves it at every cutoff.
+    store = world.listings
+    top_cell = model.vocab.classes[np.argmax(probs[3])]
+    capacities = store.capacities.copy()
+    capacities[np.flatnonzero(store.active & (store.cells == top_cell))[0]] = 10**12
+    large = replace(store, capacities=capacities)
+
+    widths = []
+    table = ListingIndex.capacity_count_table
+
+    def recorded(self, cells, parties):
+        counts = table(self, cells, parties)
+        widths.append(counts.shape[1])
+        return counts
+
+    monkeypatch.setattr(ListingIndex, "capacity_count_table", recorded)
+    lambdas = np.array([1e-4, 1e-3, 5e-3])
+    result = sweep_shard(model, batch, ListingIndex.build(large), lambdas=lambdas)
+    assert widths == [len(parties)]
+
+    for j, lam in enumerate(lambdas):
+        counts = [
+            np.count_nonzero(
+                large.active
+                & np.isin(large.cells, model.vocab.classes[probs[e] >= lam])
+                & (large.capacities >= batch.num_guests[e])
+            )
+            for e in range(len(batch))
+        ]
+        assert counts[3] == 1 and counts[4] == 0
+        assert result.mean_retrieved[j] == pytest.approx(sum(counts) / len(batch), abs=1e-9)
+
+
 def test_sweep_dest_weighted_recall_matches_naive(stack, monkeypatch):
     world, pipeline, eval_batches, models, bmodel, index = stack
     monkeypatch.setattr("cellsearch.nn.EVAL_CHUNK", 11)
@@ -251,17 +295,21 @@ def test_run_compare_matches_recall(stack, compared):
 def test_run_compare_predicts_each_search_once(stack, monkeypatch):
     """Per shard, compare predicts each search's rectangle once and its
     class probabilities twice (booked-cell probabilities, then the
-    matched cutoff), plus once more for the gap destination's searches."""
+    matched cutoff), plus once more for the gap destination's searches,
+    in the sweep over the band. Each call is keyed by the chain of
+    evaluation functions above it, innermost first."""
     world, pipeline, eval_batches, models, bmodel, index = stack
     callers = ("evaluate_baseline", "booked_cell_probs", "sweep_shard", "gap_statistics")
     rows = Counter()
 
     def counted(method):
         def wrapper(self, batch, *args):
-            frame = sys._getframe(1)
-            while frame.f_code.co_name not in callers:
+            frame, chain = sys._getframe(1), []
+            while frame.f_code.co_name != "run_compare":
+                if frame.f_code.co_name in callers:
+                    chain.append(frame.f_code.co_name)
                 frame = frame.f_back
-            rows[method.__name__, frame.f_code.co_name, batch.shard] += len(batch)
+            rows[method.__name__, " < ".join(chain), batch.shard] += len(batch)
             return method(self, batch, *args)
         return wrapper
 
@@ -276,7 +324,7 @@ def test_run_compare_predicts_each_search_once(stack, monkeypatch):
         want["predict_probs", "booked_cell_probs", shard] = n
         want["predict_probs", "sweep_shard", shard] = n
     assert result.gap.n_events > 0
-    want["predict_probs", "gap_statistics", result.gap.shard] = result.gap.n_events
+    want["predict_probs", "sweep_shard < gap_statistics", result.gap.shard] = result.gap.n_events
     assert rows == want
 
 
@@ -338,19 +386,20 @@ def _expected_gap_totals(world, batch, rects, models, lam):
 
 
 def test_gap_statistics_counts_band_listings(stack):
+    """The band as generated, and a band without listings, which counts
+    zero on both routes."""
     world, pipeline, eval_batches, models, bmodel, index = stack
     shard = _gap_shard(world)
     lam = 1e-4
     batch, rects = _gap_rects(world, eval_batches, bmodel)
-    stats = gap_statistics(models[shard], batch, rects, world, lam)
-    assert stats.shard == shard
     rows = np.flatnonzero(batch.dest_ids == world.gap.dest_id)
-    assert stats.n_events == rows.size
-    if rows.size == 0:
-        return
-    expected_cell, expected_rect = _expected_gap_totals(world, batch, rects, models, lam)
-    assert stats.cell_retrieved_total == pytest.approx(expected_cell, abs=1e-9)
-    assert stats.rect_retrieved_total == pytest.approx(expected_rect, abs=1e-9)
+    for band_world in (world, replace(world, gap=replace(world.gap, listing_ids=()))):
+        stats = gap_statistics(models[shard], batch, rects, band_world, lam)
+        assert stats.shard == shard
+        assert stats.n_events == rows.size
+        if rows.size:
+            expected = _expected_gap_totals(band_world, batch, rects, models, lam)
+            assert (stats.cell_retrieved_total, stats.rect_retrieved_total) == pytest.approx(expected, abs=1e-9)
 
 
 def test_gap_statistics_skips_inactive_band_listings(stack):

@@ -11,7 +11,10 @@ package has one owner: `EVAL_CHUNK` is assigned in one module, the
 `"format_version"` key of JSON artifacts is written and read only in
 `datagen`, and only `s2geom/cellid.py` imports the Hilbert curve. The
 trunk settings both models share are declared as class fields only in
-`nn`, where `TrunkConfig` holds them. Every (module, attribute) the
+`nn`, where `TrunkConfig` holds them. The seat rule (a listing is shown
+when it is active and seats the party) has one owner: only `datagen`,
+which builds the listing store, and `index`, which applies the rule,
+read a `.capacities` or `.active` attribute. Every (module, attribute) the
 benchmark's tracer wraps (`TARGETS` in `bench/tracing.py`, read as
 source) names something the package has, since `Tracer.install` fails
 on a missing one.
@@ -32,6 +35,8 @@ SOURCES = sorted(
 TRACING = os.path.join(REPO, "bench", "tracing.py")
 # Fields of nn.TrunkConfig that no other class in the package declares.
 TRUNK_FIELDS = ("embed_dim", "learning_rate", "patience", "batch_size", "dtype")
+# The listing-store columns the seat rule reads.
+SEAT_COLUMNS = ("capacities", "active")
 
 
 def unused_imports(source: str) -> list:
@@ -66,8 +71,9 @@ def unused_private_names(source: str) -> list:
 def format_marks(source: str) -> list:
     """(line, mark) of every format decision a module makes: "EVAL_CHUNK"
     for an assignment to that name, "format_version" for a string of that
-    text, "hilbert" for an import of the hilbert module, and the field's
-    name for a class field named in TRUNK_FIELDS."""
+    text, "hilbert" for an import of the hilbert module, the field's name
+    for a class field named in TRUNK_FIELDS, and "seats" for a read of an
+    attribute named in SEAT_COLUMNS."""
     marks = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -83,6 +89,8 @@ def format_marks(source: str) -> list:
         elif isinstance(node, ast.ClassDef):
             marks += [(s.lineno, s.target.id) for s in node.body
                       if isinstance(s, ast.AnnAssign) and getattr(s.target, "id", None) in TRUNK_FIELDS]
+        elif isinstance(node, ast.Attribute) and node.attr in SEAT_COLUMNS and isinstance(node.ctx, ast.Load):
+            marks.append((node.lineno, "seats"))
     return marks
 
 
@@ -142,8 +150,16 @@ def test_scan_flags_trunk_fields():
     assert format_marks(source) == [(2, "dtype"), (10, "patience")]
 
 
+def test_scan_flags_seat_reads():
+    source = (
+        "rows = store.active & (store.capacities >= g)\nactive = capacities = 1\n"
+        "replace(store, active=m)\nx = index.listings.capacities.max()\nself.active = False\n"
+    )
+    assert format_marks(source) == [(1, "seats"), (1, "seats"), (4, "seats")]
+
+
 def test_each_format_has_one_owner():
-    owners = {mark: [] for mark in ("EVAL_CHUNK", "format_version", "hilbert", *TRUNK_FIELDS)}
+    owners = {mark: [] for mark in ("EVAL_CHUNK", "format_version", "hilbert", "seats", *TRUNK_FIELDS)}
     for path in SOURCES:
         if not path.startswith(os.path.join(REPO, "src", "")):
             continue
@@ -153,6 +169,7 @@ def test_each_format_has_one_owner():
     assert owners["EVAL_CHUNK"] == ["src/cellsearch/nn.py"]
     assert set(owners["format_version"]) == {"src/cellsearch/datagen.py"}
     assert owners["hilbert"] == ["src/cellsearch/s2geom/cellid.py"]
+    assert set(owners["seats"]) == {"src/cellsearch/datagen.py", "src/cellsearch/index.py"}
     for name in TRUNK_FIELDS:
         assert owners[name] == ["src/cellsearch/nn.py"], name
 

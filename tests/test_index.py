@@ -191,7 +191,7 @@ def test_capacity_count_table_matches_brute_force(world, index):
     )
     cells = np.append(cells, cells[0])  # a repeated cell gets its own row
     for max_guests in (0, 3, 10, 15):
-        table = index.capacity_count_table(cells, max_guests=max_guests)
+        table = index.capacity_count_table(cells, np.arange(max_guests + 1))
         assert table.shape == (18, max_guests + 1)
         for i, cell in enumerate(cells):
             for g in range(max_guests + 1):
@@ -329,7 +329,7 @@ def test_all_inactive_store_uses_scan_fallback():
     for guests in (-1, 0, 2, 3):
         assert idx.retrieve_cells([cell], num_guests=guests).size == 0
     assert idx.seated_rows([cell], 0).size == 0
-    table = idx.capacity_count_table([cell, cell], max_guests=4)
+    table = idx.capacity_count_table([cell, cell], np.arange(5))
     np.testing.assert_array_equal(table, np.zeros((2, 5)))
     got = idx.retrieve_cells([cell], active_only=False)
     want = [i for i, lat in enumerate(lats) if int(cell_from_latlng(lat, 20.0, 11)) == cell]
@@ -352,10 +352,13 @@ def test_capacities_of_any_size_are_ranked():
         np.testing.assert_array_equal(idx.seated_rows(cells, guests), want)
         got = idx.retrieve_cells(cells, num_guests=guests)
         np.testing.assert_array_equal(got, brute_force_cells(world, set(cells.tolist()), guests))
-    table = idx.capacity_count_table(cells, max_guests=5)
-    for i, cell in enumerate(cells.tolist()):
-        for g in range(6):
-            assert table[i, g] == brute_force_seated(world, cell, g).size
+    # One column per given party, in the given order; a party beyond every
+    # capacity reads zeros.
+    for parties in (np.arange(6), [10**12 + 1, 4, 0, 10**12]):
+        table = idx.capacity_count_table(cells, parties)
+        for i, cell in enumerate(cells.tolist()):
+            for j, g in enumerate(parties):
+                assert table[i, j] == brute_force_seated(world, cell, g).size
 
 
 def test_build_rejects_bad_stores():
