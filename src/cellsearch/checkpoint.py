@@ -26,7 +26,7 @@ import numpy as np
 from .baseline import BOUNDS_STREAM, BoundsConfig, BoundsModel
 from .errors import ConfigError, DataError, data_file
 from .model import ShardModel, TrainConfig, shard_index
-from .nn import DTYPES, TrunkSpec
+from .nn import DTYPES, TrunkSpec, trunk_layout
 
 MAGIC = "cellsearch-checkpoint"
 FORMAT_VERSION = 1
@@ -153,8 +153,10 @@ def save_baseline(path, model: BoundsModel):
 def _load_trunk_model(path, kind: str, config_cls, stream: int, n_outputs: int, **expected):
     """(config, spec, params, rng, trained) of a checkpoint of the given
     kind whose output layer has n_outputs columns. Each keyword names a
-    header echo field that must hold the given value. The rng is seeded
-    like the built model's, from the config seed and the stream index."""
+    header echo field that must hold the given value. Every tensor's
+    name, order and shape must be the trunk_layout of the header's spec.
+    The rng is seeded like the built model's, from the config seed and
+    the stream index."""
     found, echo, tensors = load_checkpoint(path)
     with data_file(path):
         if found != kind:
@@ -168,23 +170,19 @@ def _load_trunk_model(path, kind: str, config_cls, stream: int, n_outputs: int, 
                 n_continuous=echo["n_continuous"],
                 hidden=config.hidden,
             )
+            layout = trunk_layout(spec, n_outputs)
             trained = bool(echo["trained"])
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"checkpoint config has a missing or bad field: {e!r}") from None
         for key, value in expected.items():
             if echo.get(key) != value:
                 raise DataError(f"checkpoint has {key} {echo.get(key)!r}, expected {value!r}")
-        if list(tensors) != spec.param_names() + ["out_w", "out_b"]:
+        if list(tensors) != list(layout):
             raise DataError("checkpoint tensors do not match the model layout")
-        dtype = DTYPES[config.dtype]
-        params = {name: tensors[name].astype(dtype) for name in tensors}
-        shapes_ok = (
-            params["out_w"].shape == (spec.output_dim, n_outputs)
-            and params["out_b"].shape == (n_outputs,)
-            and params["w1"].shape == (spec.input_dim, spec.hidden[0])
-        )
-        if not shapes_ok:
+        if any(tensors[name].shape != shape for name, shape in layout.items()):
             raise DataError("checkpoint tensor shapes do not match the model layout")
+    dtype = DTYPES[config.dtype]
+    params = {name: t.astype(dtype) for name, t in tensors.items()}
     return config, spec, params, np.random.default_rng((config.seed, stream)), trained
 
 

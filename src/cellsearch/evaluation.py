@@ -260,19 +260,23 @@ def quantile_threshold(booked_probs, target: float):
     m / n >= target (in the float arithmetic that computes a recall),
     retrieves exactly the searches at or above it, so the achieved recall
     exceeds the target by less than 1/n plus any mass tied at the cutoff.
-    Searches whose booked cell is out of vocabulary carry a sentinel of
-    -1.0 and are unreachable; if the target demands them the cutoff falls
-    back to the smallest reachable probability and warned=True.
+    A target of 0 gives m = 0 and the next float above the largest
+    booked-cell probability, so the recall is exactly 0. Searches whose
+    booked cell is out of vocabulary carry a sentinel of -1.0 and are
+    unreachable; if the target demands them the cutoff falls back to the
+    smallest reachable probability and warned=True.
     """
 
     probs = np.asarray(booked_probs, dtype=np.float64)
     if probs.ndim != 1 or probs.size == 0:
         raise DataError("need at least one search to choose a cutoff")
-    if not 0.0 < target <= 1.0:
-        raise ConfigError(f"target recall must be in (0, 1], got {target}")
+    if not 0.0 <= target <= 1.0:
+        raise ConfigError(f"target recall must be in [0, 1], got {target}")
     n = probs.size
-    m = int(np.searchsorted(np.arange(1, n + 1) / n, target)) + 1
+    m = int(np.searchsorted(np.arange(n + 1) / n, target))
     desc = np.sort(probs)[::-1]
+    if m == 0:
+        return float(np.nextafter(desc[0], np.inf)), False
     lam = float(desc[m - 1])
     if lam > 0.0:
         return lam, False

@@ -2,9 +2,9 @@
 
 The classifier's output classes are exactly the distinct booked cells of a
 shard's training events, sorted ascending; the full level-11 grid (25M
-cells) never materializes. Lookups of cells outside the vocabulary, or of
-ids that are not valid retrieval-level cells, return -1 (with a
-diagnostics counter for the invalid ids).
+cells) never materializes. Lookups of cells outside the vocabulary return
+-1; so do ids that are not valid retrieval-level cells, since no class
+equals one.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class LabelVocabulary:
             raise DataError("vocabulary cells must be valid retrieval-level cell ids")
         self.shard = shard
         self.classes = np.unique(classes.astype(np.uint64))
-        self.diagnostics = {"non_retrieval_level_lookups": 0}
 
     def __len__(self) -> int:
         return int(self.classes.size)
@@ -48,11 +47,8 @@ class LabelVocabulary:
     def lookup_array(self, cells) -> np.ndarray:
         """Class index of each cell; -1 marks absent (including invalid ids)."""
         cells = np.asarray(cells, dtype=np.uint64)
-        valid = retrieval_cell_mask(cells)
-        self.diagnostics["non_retrieval_level_lookups"] += int((~valid).sum())
-        pos = np.searchsorted(self.classes, cells)
-        pos_c = np.clip(pos, 0, self.classes.size - 1)
-        hit = valid & (self.classes[pos_c] == cells)
+        pos_c = np.clip(np.searchsorted(self.classes, cells), 0, self.classes.size - 1)
+        hit = self.classes[pos_c] == cells
         return np.where(hit, pos_c, -1).astype(np.int64)
 
     def cell_of(self, index: int) -> int:

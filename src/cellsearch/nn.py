@@ -1,10 +1,11 @@
 """Embedding tables and dense ReLU layers on numpy arrays, with
 hand-written gradients.
 
-Parameters live in a plain dict keyed by name, in a canonical order:
-one embedding table per categorical feature (feature order), then the
-hidden dense layers, then the output layer. Everything downstream
-(SGD updates, gradient checks, checkpoints) walks that dict.
+Parameters live in a plain dict keyed by name, whose names, order and
+shapes trunk_layout owns: one embedding table per categorical feature
+(feature order), then the hidden dense layers, then the output layer.
+init_params draws a model from it, the checkpoint loader checks each
+tensor against it, and SGD updates and gradient checks walk the dict.
 
 The two models built on the trunk, the shard classifier and the bounds
 regressor, share one config (TrunkConfig), one builder, one state class
@@ -38,22 +39,18 @@ FULL_SCALE_HIDDEN = (1024, 2056, 1024, 256)
 EVAL_CHUNK = 512
 
 
-def glorot_limit(fan_in: int, fan_out: int) -> float:
-    return math.sqrt(6.0 / (fan_in + fan_out))
-
-
-def init_dense(rng, fan_in, fan_out, dtype):
-    """Glorot-uniform weight matrix and zero bias."""
-    lim = glorot_limit(fan_in, fan_out)
-    w = rng.uniform(-lim, lim, size=(fan_in, fan_out)).astype(dtype)
-    b = np.zeros(fan_out, dtype=dtype)
-    return w, b
-
-
-def init_embedding(rng, n_rows, dim, dtype):
-    """Glorot-uniform table; the row count plays the fan-in role."""
-    lim = glorot_limit(n_rows, dim)
-    return rng.uniform(-lim, lim, size=(n_rows, dim)).astype(dtype)
+def init_params(rng, layout: dict, dtype) -> dict:
+    """Parameters in layout order, drawn from rng in that order: each
+    matrix Glorot-uniform over its (rows, columns), so an embedding
+    table's row count plays the fan-in role, and each bias zero."""
+    params = {}
+    for name, shape in layout.items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape, dtype=dtype)
+        else:
+            lim = math.sqrt(6.0 / sum(shape))
+            params[name] = rng.uniform(-lim, lim, size=shape).astype(dtype)
+    return params
 
 
 def ensure_finite(name: str, arr, log=None):
@@ -86,7 +83,9 @@ class TrunkSpec:
     """Shapes of the shared feature trunk.
 
     emb_names orders the embedding tables; emb_rows gives each table's
-    row count (vocabulary size including the unknown row).
+    row count (vocabulary size including the unknown row). embed_dim and
+    hidden come from a TrunkConfig, which has checked them; the tables
+    may come from a checkpoint header, so they are checked here.
     """
 
     emb_names: tuple[str, ...]
@@ -100,36 +99,24 @@ class TrunkSpec:
             raise ConfigError("emb_names and emb_rows length mismatch")
         if not self.emb_names and self.n_continuous == 0:
             raise ConfigError("trunk has no inputs")
-        if self.emb_dim < 1 or any(h < 1 for h in self.hidden):
-            raise ConfigError("embedding dim and hidden widths must be >= 1")
-        if not self.hidden:
-            raise ConfigError("trunk needs at least one hidden layer")
 
     @property
     def input_dim(self) -> int:
         return len(self.emb_names) * self.emb_dim + self.n_continuous
 
-    @property
-    def output_dim(self) -> int:
-        return self.hidden[-1]
 
-    def param_names(self) -> list[str]:
-        names = [f"emb_{n}" for n in self.emb_names]
-        for i in range(1, len(self.hidden) + 1):
-            names += [f"w{i}", f"b{i}"]
-        return names
-
-
-def init_trunk(rng, spec: TrunkSpec, dtype) -> dict:
-    """Parameter dict in canonical order: embeddings, then dense layers."""
-    params: dict[str, np.ndarray] = {}
-    for name, rows in zip(spec.emb_names, spec.emb_rows):
-        params[f"emb_{name}"] = init_embedding(rng, rows, spec.emb_dim, dtype)
+def trunk_layout(spec: TrunkSpec, n_outputs: int) -> dict:
+    """The ordered {name: shape} of every parameter of a trunk model with
+    an n_outputs-wide head: one embedding table per categorical feature
+    (feature order), w1/b1 .. wL/bL of the hidden layers, then out_w/out_b.
+    Building, initialisation and checkpoint loading all read it."""
+    layout = {f"emb_{n}": (rows, spec.emb_dim) for n, rows in zip(spec.emb_names, spec.emb_rows)}
     fan_in = spec.input_dim
-    for i, width in enumerate(spec.hidden, start=1):
-        params[f"w{i}"], params[f"b{i}"] = init_dense(rng, fan_in, width, dtype)
+    for i, width in enumerate((*spec.hidden, n_outputs), start=1):
+        w, b = ("out_w", "out_b") if i > len(spec.hidden) else (f"w{i}", f"b{i}")
+        layout[w], layout[b] = (fan_in, width), (width,)
         fan_in = width
-    return params
+    return layout
 
 
 @dataclass(frozen=True)
@@ -187,11 +174,8 @@ def build_trunk_model(config: TrunkConfig, pipeline, n_outputs: int, stream: int
     independent streams, initializes the parameters and then trains them."""
     emb_names, emb_rows, n_continuous = trunk_inputs(pipeline)
     spec = TrunkSpec(emb_names, emb_rows, config.embed_dim, n_continuous, config.hidden)
-    dtype = DTYPES[config.dtype]
     rng = np.random.default_rng((config.seed, stream))
-    params = init_trunk(rng, spec, dtype)
-    params["out_w"], params["out_b"] = init_dense(rng, spec.output_dim, n_outputs, dtype)
-    return spec, params, rng
+    return spec, init_params(rng, trunk_layout(spec, n_outputs), DTYPES[config.dtype]), rng
 
 
 @dataclass

@@ -45,10 +45,7 @@ def tiny_model(n_classes=7, hidden=(5, 4), dtype="float64", seed=0, **cfg_kw):
     vocab, spare = make_vocab(n_classes, seed=seed)
     np_dtype = nn.DTYPES[dtype]
     rng = np.random.default_rng(seed)
-    params = nn.init_trunk(rng, spec, np_dtype)
-    params["out_w"], params["out_b"] = nn.init_dense(
-        rng, spec.output_dim, n_classes, np_dtype
-    )
+    params = nn.init_params(rng, nn.trunk_layout(spec, n_classes), np_dtype)
     model = ShardModel(cfg, spec, vocab, params, rng)
     model.spare_cell = spare
     return model
@@ -62,8 +59,7 @@ def tiny_bounds(seed=0, dtype="float64", **cfg_kw):
     )
     np_dtype = nn.DTYPES[dtype]
     rng = np.random.default_rng(seed)
-    params = nn.init_trunk(rng, spec, np_dtype)
-    params["out_w"], params["out_b"] = nn.init_dense(rng, spec.output_dim, 4, np_dtype)
+    params = nn.init_params(rng, nn.trunk_layout(spec, 4), np_dtype)
     return BoundsModel(cfg, spec, params, rng)
 
 

@@ -156,11 +156,29 @@ def test_model_load_validates_vocab(tmp_path):
 def test_model_load_rejects_bad_echo_field(tmp_path):
     model = tiny_model(num_negatives=2)
     path = tmp_path / "model.ckpt"
-    for field, value in (("hidden", 5), ("learning_rate", -1.0), ("seed", -1)):
+    for field, value in (("hidden", 5), ("learning_rate", -1.0), ("seed", -1), ("n_continuous", "2")):
         echo = dict(model_config_echo(model), **{field: value})
         save_checkpoint(path, "cell_classifier", echo, model.params)
         with pytest.raises(DataError, match="bad field"):
             load_model(path, model.vocab)
+
+
+@pytest.mark.parametrize("kind", ["cell_classifier", "bounds_regressor"])
+def test_load_rejects_a_tensor_shape_the_header_does_not_give(tmp_path, kind):
+    # A hidden layer one column too wide, or an embedding table whose row
+    # count is not the header's emb_rows: the names and order still match.
+    path = tmp_path / "model.ckpt"
+    if kind == "cell_classifier":
+        model, name, shape = tiny_model(num_negatives=2), "w2", (5, 5)
+        save, load = save_model, lambda path: load_model(path, model.vocab)
+    else:
+        model, name, shape = tiny_bounds(), "emb_kind", (99, 3)
+        save, load = save_baseline, load_baseline
+    model.params[name] = np.zeros(shape)
+    save(path, model)
+    with pytest.raises(DataError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: checkpoint tensor shapes do not match the model layout"
 
 
 def test_model_load_rejects_other_kind(tmp_path):

@@ -8,11 +8,13 @@ import subprocess
 import sys
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from smallworld import SMALL, SMALL_BOUNDS, SMALL_TRAIN
 
 import cellsearch
 from cellsearch import cli
+from cellsearch.checkpoint import load_checkpoint, save_checkpoint
 from cellsearch.cli import main
 from cellsearch.datagen import load_dataset, read_events
 from cellsearch.errors import NumericError
@@ -98,6 +100,35 @@ def test_compare_writes_report(pipeline_dir, capsys):
     assert report.startswith("cellsearch-report 1\n")
     assert "[pooled]" in report
     assert "[gap]" in report
+
+
+def test_compare_matches_a_baseline_that_recalls_nothing(tmp_path, capsys):
+    """A bounds regressor driven to its smallest rectangles: each covers
+    one cell, and the EU and OTHER baselines recall no search. compare
+    matches the classifier at recall 0 there instead of refusing it."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "workdir": str(tmp_path / "run"),
+        "data": {"n_destinations": 6, "n_listings": 1500, "n_train_events": 3000, "n_eval_events": 60},
+        "train": {"epochs": 2, "patience": 2, "batch_size": 128, "num_negatives": 8, "hidden": [16, 16]},
+        "bounds": {"batch_size": 128, "hidden": [16, 16]},
+    }))
+    sets = ("bounds.beta=1000", "bounds.learning_rate=0.5", "bounds.epochs=6", "bounds.patience=6")
+    for command in ("gen", "train", "sweep", "compare"):
+        assert main([command, "--config", str(cfg_path), *(a for k in sets for a in ("--set", k))]) == 0
+    capsys.readouterr()
+    sections = (tmp_path / "run" / "report.txt").read_text().split("\n\n")
+    shards = {}
+    for section in sections:
+        head, *rows = section.splitlines()
+        if head.startswith("[shard "):
+            shards[head[len("[shard "):-1]] = dict(row.split(" ", 1) for row in rows)
+    assert set(shards) == set(SHARDS)
+    for fields in shards.values():
+        assert fields["baseline_mean_cells"] == "1"
+        assert fields["delta_recall"] == "0" and fields["match_warning"] == "0"
+    for shard in ("EU", "OTHER"):
+        assert shards[shard]["baseline_recall"] == shards[shard]["cell_recall"] == "0"
 
 
 def test_compare_report_is_the_library_report(pipeline_dir, stack, capsys):
@@ -423,6 +454,20 @@ def _set_json(value, *keys):
     return _edit_json(edit)
 
 
+def _pad_tensor(name, axis, extra):
+    """Rewrite a checkpoint with `extra` zero slices added to one tensor
+    along `axis`, keeping its header's config."""
+
+    def garble(path):
+        kind, echo, tensors = load_checkpoint(path)
+        pad = [(0, 0)] * tensors[name].ndim
+        pad[axis] = (0, extra)
+        tensors[name] = np.pad(tensors[name], pad)
+        save_checkpoint(path, kind, echo, tensors)
+
+    return garble
+
+
 @pytest.mark.parametrize(
     "name, garble",
     [
@@ -438,6 +483,8 @@ def _set_json(value, *keys):
         ("pipeline.json", _set_json(float("nan"), "continuous", "mean", 0)),
         ("pipeline.json", _edit_json(lambda doc: doc["vocabs"]["origin_country"].pop())),
         ("model_EU.ckpt", _truncate_to_half),
+        ("model_EU.ckpt", _pad_tensor("w2", 1, 1)),
+        ("baseline.ckpt", _pad_tensor("emb_dest_type", 0, 95)),
         ("postings.idx", _replace_middle_line),
         ("postings.idx", _overwrite_with_binary),
         # Line 6 of listings.tsv holds listing id 5.
@@ -464,6 +511,8 @@ def _set_json(value, *keys):
         "pipeline-nan-mean",
         "pipeline-dropped-origin-country",
         "checkpoint-truncated",
+        "checkpoint-mis-shaped-layer",
+        "baseline-mis-shaped-table",
         "postings-garbled",
         "postings-binary",
         "listings-nan-lat",
@@ -489,6 +538,22 @@ def test_damaged_artifact_is_a_data_error(pipeline_dir, tmp_path, name, garble):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("data error: ")
     assert os.path.basename(name) in proc.stderr
+
+
+def test_sweep_on_a_mis_shaped_checkpoint_is_a_data_error(pipeline_dir, tmp_path):
+    base, cfg_path, workdir = pipeline_dir
+    copy = tmp_path / "run"
+    shutil.copytree(workdir, copy)
+    own_cfg = tmp_path / "cfg.json"
+    own_cfg.write_text(json.dumps(dict(CFG, workdir=str(copy))))
+    _pad_tensor("w2", 1, 1)(copy / "model_EU.ckpt")
+    before = _tree(copy)
+    proc = _run_cli("sweep", own_cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        f"data error: {copy / 'model_EU.ckpt'}: checkpoint tensor shapes do not match the model layout\n"
+    )
+    assert _tree(copy) == before
 
 
 def test_sweep_and_compare_ignore_the_training_searches(pipeline_dir, tmp_path, capsys):

@@ -195,8 +195,14 @@ def test_quantile_threshold_exact():
     probs = np.array([0.9, 0.4, -1.0, -1.0])
     lam, warned = quantile_threshold(probs, 0.9)
     assert lam == 0.4 and warned
-    with pytest.raises(ConfigError):
-        quantile_threshold(probs, 0.0)
+    # A target of 0 retrieves no search: the cutoff sits just above the
+    # largest booked-cell probability.
+    lam, warned = quantile_threshold(probs, 0.0)
+    assert lam == np.nextafter(0.9, 1.0) and not warned
+    assert (probs >= lam).sum() == 0
+    for target in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ConfigError):
+            quantile_threshold(probs, target)
     with pytest.raises(DataError):
         quantile_threshold(np.array([-1.0, -1.0]), 0.5)
 

@@ -14,7 +14,11 @@ trunk settings both models share are declared as class fields only in
 `nn`, where `TrunkConfig` holds them. The seat rule (a listing is shown
 when it is active and seats the party) has one owner: only `datagen`,
 which builds the listing store, and `index`, which applies the rule,
-read a `.capacities` or `.active` attribute. Every (module, attribute) the
+read a `.capacities` or `.active` attribute. The trunk's parameter
+layout has one owner, `nn.trunk_layout`: the names `"out_w"`, `"out_b"`
+and `"w1"` are spelled only in `nn`, which lays the parameters out, and
+in `model` and `baseline`, which compute with them. Every (module,
+attribute) the
 benchmark's tracer wraps (`TARGETS` in `bench/tracing.py`, read as
 source) names something the package has, since `Tracer.install` fails
 on a missing one.
@@ -37,6 +41,9 @@ TRACING = os.path.join(REPO, "bench", "tracing.py")
 TRUNK_FIELDS = ("embed_dim", "learning_rate", "patience", "batch_size", "dtype")
 # The listing-store columns the seat rule reads.
 SEAT_COLUMNS = ("capacities", "active")
+# Parameter names of the trunk layout that only the modules computing
+# with the parameters spell out.
+LAYOUT_NAMES = ("out_w", "out_b", "w1")
 
 
 def unused_imports(source: str) -> list:
@@ -72,8 +79,9 @@ def format_marks(source: str) -> list:
     """(line, mark) of every format decision a module makes: "EVAL_CHUNK"
     for an assignment to that name, "format_version" for a string of that
     text, "hilbert" for an import of the hilbert module, the field's name
-    for a class field named in TRUNK_FIELDS, and "seats" for a read of an
-    attribute named in SEAT_COLUMNS."""
+    for a class field named in TRUNK_FIELDS, "seats" for a read of an
+    attribute named in SEAT_COLUMNS, and "layout" for a string named in
+    LAYOUT_NAMES."""
     marks = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -81,6 +89,8 @@ def format_marks(source: str) -> list:
             marks += [(node.lineno, "EVAL_CHUNK") for t in targets if getattr(t, "id", None) == "EVAL_CHUNK"]
         elif isinstance(node, ast.Constant) and node.value == "format_version":
             marks.append((node.lineno, "format_version"))
+        elif isinstance(node, ast.Constant) and node.value in LAYOUT_NAMES:
+            marks.append((node.lineno, "layout"))
         elif isinstance(node, ast.Import):
             marks += [(node.lineno, "hilbert") for a in node.names if "hilbert" in a.name.split(".")]
         elif isinstance(node, ast.ImportFrom):
@@ -158,8 +168,16 @@ def test_scan_flags_seat_reads():
     assert format_marks(source) == [(1, "seats"), (1, "seats"), (4, "seats")]
 
 
+def test_scan_flags_layout_names():
+    source = (
+        "params['out_w'] @ h + params['out_b']\nlayout = ('w1', 'w10', 'b1')\n"
+        "if name == 'w1': pass\nout_w = params.out_w\n"
+    )
+    assert sorted(format_marks(source)) == [(1, "layout"), (1, "layout"), (2, "layout"), (3, "layout")]
+
+
 def test_each_format_has_one_owner():
-    owners = {mark: [] for mark in ("EVAL_CHUNK", "format_version", "hilbert", "seats", *TRUNK_FIELDS)}
+    owners = {mark: [] for mark in ("EVAL_CHUNK", "format_version", "hilbert", "seats", "layout", *TRUNK_FIELDS)}
     for path in SOURCES:
         if not path.startswith(os.path.join(REPO, "src", "")):
             continue
@@ -170,6 +188,7 @@ def test_each_format_has_one_owner():
     assert set(owners["format_version"]) == {"src/cellsearch/datagen.py"}
     assert owners["hilbert"] == ["src/cellsearch/s2geom/cellid.py"]
     assert set(owners["seats"]) == {"src/cellsearch/datagen.py", "src/cellsearch/index.py"}
+    assert set(owners["layout"]) == {f"src/cellsearch/{m}.py" for m in ("nn", "model", "baseline")}
     for name in TRUNK_FIELDS:
         assert owners[name] == ["src/cellsearch/nn.py"], name
 

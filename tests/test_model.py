@@ -423,6 +423,8 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(hidden=())
+    with pytest.raises(ConfigError, match="embed_dim"):
+        TrainConfig(embed_dim=0)
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         TrainConfig(seed=-1)
 

@@ -21,23 +21,33 @@ def tiny_spec():
     )
 
 
+def trunk_params(rng, spec, dtype):
+    """The trunk's parameters alone: its layout without the head."""
+    layout = nn.trunk_layout(spec, 1)
+    del layout["out_w"], layout["out_b"]
+    return nn.init_params(rng, layout, dtype)
+
+
 def test_glorot_bounds_and_zero_bias():
-    rng = np.random.default_rng(0)
-    w, b = nn.init_dense(rng, 40, 60, np.float64)
-    lim = math.sqrt(6.0 / 100.0)
-    assert w.shape == (40, 60) and b.shape == (60,)
-    assert np.all(np.abs(w) <= lim)
-    assert np.std(w) > 0.4 * lim  # uniform(-lim, lim) has std lim/sqrt(3)
-    assert np.all(b == 0.0)
-    emb = nn.init_embedding(rng, 10, 4, np.float32)
-    assert emb.dtype == np.float32
-    assert np.all(np.abs(emb) <= math.sqrt(6.0 / 14.0))
+    layout = {"emb": (10, 4), "w": (40, 60), "b": (60,)}
+    params = nn.init_params(np.random.default_rng(0), layout, np.float64)
+    assert list(params) == list(layout)
+    assert all(params[name].shape == shape for name, shape in layout.items())
+    # Each matrix is drawn in layout order from the one rng, with the
+    # limit of its own (rows, columns).
+    ref = np.random.default_rng(0)
+    for name, lim in (("emb", math.sqrt(6.0 / 14.0)), ("w", math.sqrt(6.0 / 100.0))):
+        assert params[name].tobytes() == ref.uniform(-lim, lim, size=layout[name]).tobytes()
+        assert np.all(np.abs(params[name]) <= lim)
+        assert np.std(params[name]) > 0.4 * lim  # uniform(-lim, lim) has std lim/sqrt(3)
+    assert np.all(params["b"] == 0.0)
+    assert nn.init_params(np.random.default_rng(0), layout, np.float32)["emb"].dtype == np.float32
 
 
 def test_trunk_forward_matches_manual_recompute():
     spec = tiny_spec()
     rng = np.random.default_rng(1)
-    params = nn.init_trunk(rng, spec, np.float64)
+    params = trunk_params(rng, spec, np.float64)
     cat = rng.integers(0, np.array(spec.emb_rows), size=(7, 2))
     cont = rng.normal(size=(7, 2))
     h, _ = nn.trunk_forward(params, spec, cat, cont)
@@ -56,7 +66,7 @@ def test_trunk_gradients_match_finite_differences():
     params = None
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        trial = nn.init_trunk(rng, spec, np.float64)
+        trial = trunk_params(rng, spec, np.float64)
         cat = rng.integers(0, np.array(spec.emb_rows), size=(6, 2))
         cont = rng.normal(size=(6, 2))
         _, cache = nn.trunk_forward(trial, spec, cat, cont)
@@ -81,7 +91,7 @@ def test_trunk_gradients_match_finite_differences():
 def test_unused_embedding_rows_get_zero_gradient():
     spec = tiny_spec()
     rng = np.random.default_rng(2)
-    params = nn.init_trunk(rng, spec, np.float64)
+    params = trunk_params(rng, spec, np.float64)
     cat = np.zeros((4, 2), dtype=np.int64)  # only row 0 of each table
     cont = rng.normal(size=(4, 2))
     h, cache = nn.trunk_forward(params, spec, cat, cont)
@@ -140,7 +150,7 @@ def test_trunk_backward_embedding_grads_match_per_table_scatter(dtype):
     # heavily: 500 rows land on the first three of its 50 rows.
     spec = nn.TrunkSpec(("one", "two", "wide"), (1, 2, 50), 4, 2, (8, 6))
     rng = np.random.default_rng(6)
-    params = nn.init_trunk(rng, spec, dtype)
+    params = trunk_params(rng, spec, dtype)
     cat = np.stack(
         [np.zeros(500, dtype=np.int64), rng.integers(0, 2, 500), rng.integers(0, 3, 500)],
         axis=1,
@@ -210,11 +220,12 @@ def test_ensure_finite_raises_with_log():
 def test_trunk_spec_validation_and_names():
     with pytest.raises(ConfigError):
         nn.TrunkSpec(("a",), (2, 3), 4, 1, (8,))
-    with pytest.raises(ConfigError):
-        nn.TrunkSpec(("a",), (2,), 4, 1, ())
-    with pytest.raises(ConfigError):
-        nn.TrunkSpec(("a",), (2,), 0, 1, (8,))
+    with pytest.raises(ConfigError, match="no inputs"):
+        nn.TrunkSpec((), (), 4, 0, (8,))
     spec = tiny_spec()
     assert spec.input_dim == 2 * 3 + 2
-    assert spec.output_dim == 4
-    assert spec.param_names() == ["emb_color", "emb_shape", "w1", "b1", "w2", "b2"]
+    layout = nn.trunk_layout(spec, 7)
+    assert list(layout.items()) == [
+        ("emb_color", (5, 3)), ("emb_shape", (3, 3)), ("w1", (8, 6)), ("b1", (6,)),
+        ("w2", (6, 4)), ("b2", (4,)), ("out_w", (4, 7)), ("out_b", (7,)),
+    ]
