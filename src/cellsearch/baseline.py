@@ -46,8 +46,6 @@ BOUNDS_STREAM = 3
 
 MIN_EXTENT_DEG = 1e-4
 
-BETA_GRID = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
-
 
 @dataclass(frozen=True)
 class BoundsConfig(TrunkConfig):

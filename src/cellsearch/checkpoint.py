@@ -24,7 +24,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .baseline import BOUNDS_STREAM, BoundsConfig, BoundsModel
-from .errors import ConfigError, DataError, data_file
+from .errors import ConfigError, DataError, named
 from .model import ShardModel, TrainConfig, shard_index
 from .nn import DTYPES, TrunkSpec, trunk_layout
 
@@ -60,7 +60,7 @@ def load_checkpoint(path):
     ordered dict of float32 arrays in header order."""
     with open(path, "rb") as f:
         raw = f.read()
-    with data_file(path):
+    with named(path):
         return _parse_checkpoint(raw)
 
 
@@ -158,7 +158,7 @@ def _load_trunk_model(path, kind: str, config_cls, stream: int, n_outputs: int, 
     The rng is seeded like the built model's, from the config seed and
     the stream index."""
     found, echo, tensors = load_checkpoint(path)
-    with data_file(path):
+    with named(path):
         if found != kind:
             raise DataError(f"expected a {kind} checkpoint, got {found!r}")
         try:

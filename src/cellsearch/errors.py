@@ -20,13 +20,14 @@ class DataError(CellSearchError, ValueError):
 
 
 @contextmanager
-def data_file(path):
-    """Prefix the message of a DataError raised inside with the file's path,
-    so a damaged artifact is named in the error."""
+def named(where):
+    """Prefix the message of a DataError or CapacityError raised inside
+    with where, so the error names the damaged artifact's path or the
+    shard being evaluated."""
     try:
         yield
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
+    except (DataError, CapacityError) as e:
+        raise type(e)(f"{where}: {e}") from None
 
 
 class InvalidCellError(DataError):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, data_file
+from .errors import DataError, named
 from .labels import RETRIEVAL_LEVEL, retrieval_cell_mask
 from .s2geom import GeoRect, cover_rect_raw
 
@@ -182,7 +182,7 @@ def load_index(path, listings) -> tuple[ListingIndex, str]:
     this index and ref.
     """
     index = ListingIndex.build(listings)
-    with open(path, "rb") as f, data_file(path):
+    with open(path, "rb") as f, named(path):
         raw = f.read()
         second_line = raw.partition(b"\n")[2].partition(b"\n")[0]
         ref = second_line.decode("utf-8", errors="replace").removeprefix("listings ")

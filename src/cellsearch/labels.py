@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError, data_file
+from .errors import DataError, named
 from .s2geom import num_cells_at_level, valid_at_level
 
 # The grid level that classes, listing postings and rectangle coverings
@@ -82,7 +82,7 @@ def load_vocab(path, shard: str) -> LabelVocabulary:
         raise DataError(f"vocabulary file {path} holds a line that is not a cell id: {exc}") from None
     if not cells.size:
         raise DataError(f"empty vocabulary file {path}")
-    with data_file(path):
+    with named(path):
         vocab = LabelVocabulary(shard, cells)
     if vocab.classes.size != cells.size or not np.array_equal(vocab.classes, cells):
         raise DataError(f"vocabulary file {path} not sorted and unique")

@@ -10,7 +10,7 @@ the same sweep twice yields identical bytes.
 
 import numpy as np
 
-from .evaluation import SWEEP_CSV_COLUMNS, SweepResult, sweep_rows
+from .evaluation import SWEEP_CSV_COLUMNS, SweepResult, fmt, sweep_rows
 
 WIDTH = 720
 HEIGHT = 520
@@ -24,10 +24,6 @@ _GRID_STYLE = 'stroke="#dddddd" stroke-width="1"'
 _LINE_STYLE = 'fill="none" stroke="#1f77b4" stroke-width="2"'
 _DOT_STYLE = 'fill="#1f77b4"'
 _TEXT_STYLE = 'font-family="monospace" font-size="12"'
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".9g")
 
 
 def _x_pos(recall: float) -> float:
@@ -68,30 +64,30 @@ def sweep_svg_text(result: SweepResult) -> str:
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         gx = _x_pos(frac)
         gy = _y_pos(frac * top, top)
-        lines.append(f'<line x1="{_fmt(gx)}" y1="{y0}" x2="{_fmt(gx)}" y2="{y1}" {_GRID_STYLE}/>')
-        lines.append(f'<line x1="{x0}" y1="{_fmt(gy)}" x2="{x1}" y2="{_fmt(gy)}" {_GRID_STYLE}/>')
+        lines.append(f'<line x1="{fmt(gx)}" y1="{y0}" x2="{fmt(gx)}" y2="{y1}" {_GRID_STYLE}/>')
+        lines.append(f'<line x1="{x0}" y1="{fmt(gy)}" x2="{x1}" y2="{fmt(gy)}" {_GRID_STYLE}/>')
         lines.append(
-            f'<text x="{_fmt(gx - 12)}" y="{y0 + 18}" {_TEXT_STYLE}>{_fmt(frac)}</text>'
+            f'<text x="{fmt(gx - 12)}" y="{y0 + 18}" {_TEXT_STYLE}>{fmt(frac)}</text>'
         )
         lines.append(
-            f'<text x="8" y="{_fmt(gy + 4)}" {_TEXT_STYLE}>{_fmt(frac * top)}</text>'
+            f'<text x="8" y="{fmt(gy + 4)}" {_TEXT_STYLE}>{fmt(frac * top)}</text>'
         )
     lines.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" {_AXIS_STYLE}/>')
     lines.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" {_AXIS_STYLE}/>')
     lines.append(
-        f'<text x="{_fmt((x0 + x1) / 2 - 24)}" y="{HEIGHT - 16}" {_TEXT_STYLE}>recall</text>'
+        f'<text x="{fmt((x0 + x1) / 2 - 24)}" y="{HEIGHT - 16}" {_TEXT_STYLE}>recall</text>'
     )
     lines.append(
         f'<text x="14" y="{MARGIN_TOP - 10}" {_TEXT_STYLE}>precision_dest</text>'
     )
 
     points = " ".join(
-        f"{_fmt(_x_pos(r))},{_fmt(_y_pos(p, top))}" for r, p in zip(recalls, precisions)
+        f"{fmt(_x_pos(r))},{fmt(_y_pos(p, top))}" for r, p in zip(recalls, precisions)
     )
     lines.append(f'<polyline points="{points}" {_LINE_STYLE}/>')
     for r, p in zip(recalls, precisions):
         lines.append(
-            f'<circle cx="{_fmt(_x_pos(r))}" cy="{_fmt(_y_pos(p, top))}" r="3" {_DOT_STYLE}/>'
+            f'<circle cx="{fmt(_x_pos(r))}" cy="{fmt(_y_pos(p, top))}" r="3" {_DOT_STYLE}/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,6 @@ from modeltools import gradient_rel_errors, numerical_gradient, tiny_batch, tiny
 
 from cellsearch import nn
 from cellsearch.baseline import (
-    BETA_GRID,
     MIN_EXTENT_DEG,
     BoundsConfig,
     BoundsModel,
@@ -20,6 +19,9 @@ from cellsearch.checkpoint import load_baseline, save_baseline, save_model
 from cellsearch.errors import ConfigError, DataError
 from cellsearch.features import encode_events, fit_pipeline
 from cellsearch.s2geom import cell_from_latlng, cells_from_latlng_vec
+
+# Box-size weights the loss decomposition is checked at.
+BETA_GRID = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 
 
 def random_inputs(model, n, seed):

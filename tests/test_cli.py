@@ -22,6 +22,7 @@ from cellsearch.evaluation import format_report, run_compare
 from cellsearch.features import SHARDS, encode_events, fit_pipeline
 from cellsearch.labels import build_vocab
 from cellsearch.model import ShardModel
+from cellsearch.s2geom import cell_from_latlng
 
 # The criterion-10 run, the same configs as conftest's `stack`.
 CFG = {"data": asdict(SMALL), "train": asdict(SMALL_TRAIN), "bounds": asdict(SMALL_BOUNDS)}
@@ -554,6 +555,31 @@ def test_sweep_on_a_mis_shaped_checkpoint_is_a_data_error(pipeline_dir, tmp_path
         f"data error: {copy / 'model_EU.ckpt'}: checkpoint tensor shapes do not match the model layout\n"
     )
     assert _tree(copy) == before
+
+
+def test_compare_on_a_shard_without_a_reachable_booking_is_a_data_error(pipeline_dir, tmp_path):
+    """Every OTHER evaluation search books a valid level-11 cell that no
+    vocabulary holds, so the baseline recalls 0 there and no cutoff can
+    retrieve a booking: compare names the shard and writes no report."""
+    base, cfg_path, workdir = pipeline_dir
+    copy = tmp_path / "run"
+    shutil.copytree(workdir, copy)
+    own_cfg = tmp_path / "cfg.json"
+    own_cfg.write_text(json.dumps(dict(CFG, workdir=str(copy))))
+    other = {str(d.dest_id) for d in load_dataset(copy / "data").destinations if d.continent == "OTHER"}
+    path = copy / "data" / "eval_events.tsv"
+    head, *rows = path.read_text().splitlines(keepends=True)
+    fields = [row.split("\t") for row in rows]
+    for f in fields:
+        if f[1] in other:
+            f[9] = str(int(cell_from_latlng(-80.0, 0.0, 11)))
+    assert sum(f[1] in other for f in fields) > 0
+    path.write_text(head + "".join("\t".join(f) for f in fields))
+    (copy / "report.txt").unlink(missing_ok=True)
+    proc = _run_cli("compare", own_cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "data error: shard OTHER: no search's booked cell is in the vocabulary\n"
+    assert not (copy / "report.txt").exists()
 
 
 def test_sweep_and_compare_ignore_the_training_searches(pipeline_dir, tmp_path, capsys):

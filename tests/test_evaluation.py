@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cellsearch.baseline import BoundsModel, bounds_to_cellset, destination_coords
-from cellsearch.errors import ConfigError, DataError
+from cellsearch.errors import CapacityError, ConfigError, DataError
 from cellsearch.evaluation import (
     FULL_SCALE_REFERENCE_LAMBDAS,
     LAMBDA_GRID,
@@ -27,6 +27,7 @@ from cellsearch.evaluation import (
 from cellsearch.features import SHARDS
 from cellsearch.index import ListingIndex
 from cellsearch.model import ShardModel
+from cellsearch.s2geom import cover_rects_raw
 from cellsearch.svg import sweep_svg_text, write_sweep_svg
 
 
@@ -203,8 +204,34 @@ def test_quantile_threshold_exact():
     for target in (-0.1, 1.5, float("nan")):
         with pytest.raises(ConfigError):
             quantile_threshold(probs, target)
-    with pytest.raises(DataError):
-        quantile_threshold(np.array([-1.0, -1.0]), 0.5)
+    for target in (0.5, 0.0):
+        with pytest.raises(DataError):
+            quantile_threshold(np.array([-1.0, -1.0]), target)
+
+
+def test_quantile_threshold_against_brute_force():
+    """On random booked-cell probabilities with OOV sentinels, zeros and
+    exact ties, the cutoff is above 0 and retrieves the smallest count of
+    searches whose recall reaches the target; when no cutoff above 0
+    reaches it, all the searches above 0, with warned set."""
+    rng = np.random.default_rng(5)
+    targets = np.linspace(0.0, 1.0, 41)
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        probs = rng.choice([-1.0, 0.0, 1e-6, 0.1, 0.25, 0.5, 0.9], size=n)
+        reachable = int((probs > 0.0).sum())
+        # Every count of searches some cutoff above 0 retrieves.
+        counts = {0} | {int((probs >= c).sum()) for c in probs[probs > 0.0]}
+        for target in targets:
+            if reachable == 0:
+                with pytest.raises(DataError):
+                    quantile_threshold(probs, target)
+                continue
+            lam, warned = quantile_threshold(probs, target)
+            assert lam > 0.0
+            enough = [c for c in counts if c / n >= target]
+            assert int((probs >= lam).sum()) == (min(enough) if enough else reachable)
+            assert warned == (not enough)
 
 
 def test_quantile_threshold_on_model(stack):
@@ -222,12 +249,30 @@ def test_quantile_threshold_on_model(stack):
     assert achieved <= target + (ties + 1) / n
 
 
-def test_evaluate_baseline_matches_naive(stack):
+def test_evaluate_baseline_matches_naive(stack, monkeypatch):
+    """The baseline's figures against a search-by-search recount, on a
+    batch of distinct searches and on one whose rows repeat; either way
+    each distinct rectangle is covered once."""
     world, pipeline, eval_batches, models, bmodel, index = stack
-    shard = "EU"
-    batch = eval_batches[shard].take(slice(0, 36))
-    result = evaluate_baseline(bmodel, batch, world.destinations, index)
+    covered = []
 
+    def spy(rects, level):
+        covered.extend(rects)
+        return cover_rects_raw(rects, level)
+
+    monkeypatch.setattr("cellsearch.evaluation.cover_rects_raw", spy)
+    batch = eval_batches["EU"].take(slice(0, 36))
+    for b in (batch, batch.take([0, 0, 1, 2, 2, 2])):
+        covered.clear()
+        rects = _check_baseline_against_naive(bmodel, b, world, index)
+        assert covered == list(dict.fromkeys(rects))
+    assert len(covered) <= 3
+
+
+def _check_baseline_against_naive(bmodel, batch, world, index):
+    """Assert evaluate_baseline's figures on batch against a search-by-search
+    recount; the batch's predicted rectangles."""
+    result = evaluate_baseline(bmodel, batch, world.destinations, index)
     coords = destination_coords(batch, world.destinations)
     rects = bmodel.predict_bounds(batch, coords)
     assert result.rects == rects  # kept for the gap statistics
@@ -260,6 +305,7 @@ def test_evaluate_baseline_matches_naive(stack):
     assert result.point.precision_dest == pytest.approx(float(np.mean(per_dest)), abs=1e-12)
     expected_dw = float(np.mean([np.mean(v) for v in per_dest_hits.values()]))
     assert result.point.dest_weighted_recall == pytest.approx(expected_dw, abs=1e-12)
+    return rects
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +378,17 @@ def test_run_compare_predicts_each_search_once(stack, monkeypatch):
     assert result.gap.n_events > 0
     want["predict_probs", "sweep_shard < gap_statistics", result.gap.shard] = result.gap.n_events
     assert rows == want
+
+
+def test_run_compare_names_the_shard_of_a_capacity_error(stack, monkeypatch):
+    world, pipeline, eval_batches, models, bmodel, index = stack
+
+    def oversized(rects, level):
+        raise CapacityError("covering exceeds cap 200000 (709173 cells at level 10)")
+
+    monkeypatch.setattr("cellsearch.evaluation.cover_rects_raw", oversized)
+    with pytest.raises(CapacityError, match=r"^shard EU: covering exceeds cap 200000 \("):
+        run_compare(models, bmodel, eval_batches, world, index)
 
 
 def test_run_compare_reports_a_zero_gap_section(stack):

@@ -6,7 +6,9 @@ binds must be referenced somewhere in the same file. Package `__init__.py`
 files are skipped, since their imports are re-exports, and so are
 `__future__` imports. In the package, every private name (`_x`) that a
 module defines at its top level must be referenced in that module, so a
-deletion leaves no helper without a caller. Each format decision in the
+deletion leaves no helper without a caller, and every public constant
+(an UPPER_CASE name) that a package module assigns at its top level must
+be read by some package module. Each format decision in the
 package has one owner: `EVAL_CHUNK` is assigned in one module, the
 `"format_version"` key of JSON artifacts is written and read only in
 `datagen`, and only `s2geom/cellid.py` imports the Hilbert curve. The
@@ -28,6 +30,7 @@ import ast
 import glob
 import importlib
 import os
+import re
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCES = sorted(
@@ -44,6 +47,8 @@ SEAT_COLUMNS = ("capacities", "active")
 # Parameter names of the trunk layout that only the modules computing
 # with the parameters spell out.
 LAYOUT_NAMES = ("out_w", "out_b", "w1")
+# The name of a public module-level constant.
+CONSTANT_NAME = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 
 def unused_imports(source: str) -> list:
@@ -73,6 +78,28 @@ def unused_private_names(source: str) -> list:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return [(line, name) for line, name in defined
             if name.startswith("_") and not name.startswith("__") and name not in used]
+
+
+def unread_constants(sources: dict) -> list:
+    """(path, line, name) of every public constant, an UPPER_CASE name that
+    a module of sources ({path: source}) assigns at its top level, that no
+    module of sources reads, as a name or as an attribute."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [(path, node.lineno, t.id) for t in targets
+                          if isinstance(t, ast.Name) and CONSTANT_NAME.match(t.id) and t.id not in read]
+    return found
 
 
 def format_marks(source: str) -> list:
@@ -138,6 +165,23 @@ def test_no_unused_private_names():
         with open(path, encoding="utf-8") as f:
             found += [f"{os.path.relpath(path, REPO)}:{line} {name}" for line, name in unused_private_names(f.read())]
     assert found == []
+
+
+def test_scan_flags_an_unread_constant():
+    sources = {
+        "a.py": "A = 1\nB: int = 2\n_C = 3\nD = A\nx = 4\ndef f():\n    G = 6\n",
+        "b.py": "import a\na.B\nE = F = 5\nprint(F)\n",
+    }
+    assert unread_constants(sources) == [("a.py", 4, "D"), ("b.py", 3, "E")]
+
+
+def test_no_unread_constants():
+    sources = {}
+    for path in SOURCES:
+        if path.startswith(os.path.join(REPO, "src", "")):
+            with open(path, encoding="utf-8") as f:
+                sources[os.path.relpath(path, REPO)] = f.read()
+    assert unread_constants(sources) == []
 
 
 def test_scan_flags_format_marks():
