@@ -12,156 +12,94 @@ A checkpoint is a UTF-8 text header followed by a binary payload:
     <little-endian float32 tensor data, C order, in header order>
 
 The config line is one JSON object with sorted keys, echoing every
-hyperparameter plus the trained flag, so a file is self-describing.
-Payloads are always float32 regardless of the in-memory dtype.
+hyperparameter plus the trained flag and the trunk's input shapes, so a
+file is self-describing. Payloads are always float32 regardless of the
+in-memory dtype.
+
+Loading reads the kind and config lines, builds the model's config and
+nn.trunk_layout from them, renders the header that saving that model
+writes and requires the file to start with exactly those bytes, followed
+by exactly the layout's float32 payload. The tensor lines are never
+parsed: every name and shape comes from the layout.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import accumulate
 from dataclasses import asdict, fields
 
 import numpy as np
 
 from .baseline import BOUNDS_STREAM, BoundsConfig, BoundsModel
-from .errors import ConfigError, DataError, named
+from .errors import DataError, named
 from .model import ShardModel, TrainConfig, shard_index
 from .nn import DTYPES, TrunkSpec, trunk_layout
 
 MAGIC = "cellsearch-checkpoint"
 FORMAT_VERSION = 1
-KINDS = ("cell_classifier", "bounds_regressor")
 
 
-def save_checkpoint(path, kind: str, config: dict, tensors: dict):
-    """Write tensors (an ordered name -> array dict) under a text header."""
-    if kind not in KINDS:
-        raise ConfigError(f"unknown checkpoint kind {kind!r}")
-    lines = [f"{MAGIC} {FORMAT_VERSION}", f"kind {kind}"]
-    lines.append("config " + json.dumps(config, sort_keys=True))
-    payload = []
-    for name, arr in tensors.items():
-        if " " in name or "\n" in name:
-            raise ConfigError(f"tensor name {name!r} contains whitespace")
-        a = np.ascontiguousarray(arr, dtype="<f4")
-        shape = " ".join(str(d) for d in a.shape)
-        lines.append(f"tensor {name} float32 {shape}")
-        payload.append(a.tobytes())
-    lines.append("end")
-    header = "\n".join(lines) + "\n"
-    with open(path, "wb") as f:
-        f.write(header.encode("utf-8"))
-        for chunk in payload:
-            f.write(chunk)
+def _header(kind: str, echo: dict, shapes: dict) -> bytes:
+    """The header bytes of a checkpoint: magic, kind, the sorted-key
+    config echo and one line per tensor (an ordered name -> shape dict)."""
+    lines = [f"{MAGIC} {FORMAT_VERSION}", f"kind {kind}", "config " + json.dumps(echo, sort_keys=True)]
+    lines += [f"tensor {name} float32 {' '.join(map(str, shape))}" for name, shape in shapes.items()]
+    return ("\n".join([*lines, "end"]) + "\n").encode("utf-8")
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (kind, config, tensors) with tensors an
-    ordered dict of float32 arrays in header order."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    with named(path):
-        return _parse_checkpoint(raw)
-
-
-def _parse_checkpoint(raw: bytes):
-    lines = []
-    pos = 0
-    while True:
-        nl = raw.find(b"\n", pos)
-        if nl < 0:
-            raise DataError("checkpoint header has no end marker")
-        line = raw[pos : nl].decode("utf-8", errors="replace")
-        pos = nl + 1
-        if line == "end":
-            break
-        lines.append(line)
-    if not lines or lines[0].split() != [MAGIC, str(FORMAT_VERSION)]:
-        raise DataError("not a recognized checkpoint file")
-    if len(lines) < 3 or not lines[1].startswith("kind "):
-        raise DataError("checkpoint header is missing the kind line")
-    kind = lines[1][len("kind ") :]
-    if kind not in KINDS:
-        raise DataError(f"unknown checkpoint kind {kind!r}")
-    if not lines[2].startswith("config "):
-        raise DataError("checkpoint header is missing the config line")
-    try:
-        config = json.loads(lines[2][len("config ") :])
-    except json.JSONDecodeError as e:
-        raise DataError(f"bad checkpoint config JSON: {e}") from None
-
-    specs = []
-    for line in lines[3:]:
-        parts = line.split()
-        if len(parts) < 4 or parts[0] != "tensor":
-            raise DataError(f"bad checkpoint tensor line: {line!r}")
-        name, dtype = parts[1], parts[2]
-        if dtype != "float32":
-            raise DataError(f"unsupported tensor dtype {dtype!r}")
-        try:
-            shape = tuple(int(d) for d in parts[3:])
-        except ValueError:
-            raise DataError(f"bad tensor shape in line: {line!r}") from None
-        if any(d < 0 for d in shape):
-            raise DataError(f"negative tensor dimension in line: {line!r}")
-        specs.append((name, shape))
-
-    tensors = {}
-    offset = pos
-    for name, shape in specs:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 4
-        if offset + nbytes > len(raw):
-            raise DataError("checkpoint payload is truncated")
-        tensors[name] = (
-            np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-            .reshape(shape)
-            .copy()
-        )
-        offset += nbytes
-    if offset != len(raw):
-        raise DataError("checkpoint payload has trailing bytes")
-    return kind, config, tensors
-
-
-def _config_echo(model, **extra) -> dict:
+def _config_echo(config, spec: TrunkSpec, trained: bool, **extra) -> dict:
     """The header's config object: every hyperparameter, the trained flag
     and the trunk shapes, plus the kind's own fields."""
-    echo = asdict(model.config)
-    echo.update(
-        trained=model.trained,
-        categorical_features=list(model.spec.emb_names),
-        emb_rows=list(model.spec.emb_rows),
-        n_continuous=model.spec.n_continuous,
+    return dict(
+        asdict(config),
+        trained=trained,
+        categorical_features=list(spec.emb_names),
+        emb_rows=list(spec.emb_rows),
+        n_continuous=spec.n_continuous,
         **extra,
     )
-    return echo
 
 
 def model_config_echo(model: ShardModel) -> dict:
-    return _config_echo(model, shard=model.shard, n_classes=model.n_classes)
+    return _config_echo(model.config, model.spec, model.trained, shard=model.shard, n_classes=model.n_classes)
+
+
+def _save(path, kind: str, echo: dict, params: dict):
+    arrays = {name: np.ascontiguousarray(p, dtype="<f4") for name, p in params.items()}
+    with open(path, "wb") as f:
+        f.write(_header(kind, echo, {name: a.shape for name, a in arrays.items()}))
+        for a in arrays.values():
+            f.write(a.tobytes())
 
 
 def save_model(path, model: ShardModel):
-    save_checkpoint(path, "cell_classifier", model_config_echo(model), model.params)
+    _save(path, "cell_classifier", model_config_echo(model), model.params)
 
 
 def save_baseline(path, model: BoundsModel):
-    save_checkpoint(path, "bounds_regressor", _config_echo(model), model.params)
+    _save(path, "bounds_regressor", _config_echo(model.config, model.spec, model.trained), model.params)
 
 
 def _load_trunk_model(path, kind: str, config_cls, stream: int, n_outputs: int, **expected):
     """(config, spec, params, rng, trained) of a checkpoint of the given
     kind whose output layer has n_outputs columns. Each keyword names a
-    header echo field that must hold the given value. Every tensor's
-    name, order and shape must be the trunk_layout of the header's spec.
-    The rng is seeded like the built model's, from the config seed and
-    the stream index."""
-    found, echo, tensors = load_checkpoint(path)
-    with named(path):
-        if found != kind:
+    header echo field that must hold the given value. The file must be,
+    byte for byte, the header that saving this model writes, followed by
+    the float32 payload of trunk_layout of the header's spec. The rng is
+    seeded like the built model's, from the config seed and the stream
+    index."""
+    with open(path, "rb") as f, named(path):
+        raw = f.read()
+        magic, kind_line, config_line, *_ = raw.split(b"\n", 3) + [b"", b""]
+        if magic != f"{MAGIC} {FORMAT_VERSION}".encode():
+            raise DataError("not a recognized checkpoint file")
+        if kind_line != f"kind {kind}".encode():
+            found = kind_line.decode("utf-8", errors="replace").removeprefix("kind ")
             raise DataError(f"expected a {kind} checkpoint, got {found!r}")
         try:
+            echo = json.loads(config_line.removeprefix(b"config "))
             config = config_cls(**{f.name: echo[f.name] for f in fields(config_cls)})
             spec = TrunkSpec(
                 emb_names=tuple(echo["categorical_features"]),
@@ -172,17 +110,24 @@ def _load_trunk_model(path, kind: str, config_cls, stream: int, n_outputs: int, 
             )
             layout = trunk_layout(spec, n_outputs)
             trained = bool(echo["trained"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, RecursionError) as e:
             raise DataError(f"checkpoint config has a missing or bad field: {e!r}") from None
         for key, value in expected.items():
             if echo.get(key) != value:
                 raise DataError(f"checkpoint has {key} {echo.get(key)!r}, expected {value!r}")
-        if list(tensors) != list(layout):
-            raise DataError("checkpoint tensors do not match the model layout")
-        if any(tensors[name].shape != shape for name, shape in layout.items()):
-            raise DataError("checkpoint tensor shapes do not match the model layout")
+        header = _header(kind, _config_echo(config, spec, trained, **expected), layout)
+        if not raw.startswith(header):
+            raise DataError("checkpoint header differs from the one its config renders")
+        sizes = [math.prod(shape) for shape in layout.values()]
+        if len(raw) - len(header) != 4 * sum(sizes):
+            raise DataError(f"checkpoint payload has {len(raw) - len(header)} bytes, expected {4 * sum(sizes)}")
+        flat = np.frombuffer(raw, dtype="<f4", offset=len(header))
     dtype = DTYPES[config.dtype]
-    params = {name: t.astype(dtype) for name, t in tensors.items()}
+    bounds = list(accumulate(sizes, initial=0))
+    params = {
+        name: flat[start:stop].reshape(shape).astype(dtype)
+        for (name, shape), start, stop in zip(layout.items(), bounds, bounds[1:])
+    }
     return config, spec, params, np.random.default_rng((config.seed, stream)), trained
 
 

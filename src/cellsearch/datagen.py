@@ -860,7 +860,7 @@ def read_json_artifact(path, what: str) -> dict:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != 1:
@@ -887,13 +887,12 @@ def load_dataset(data_dir) -> World:
     doc = read_json_artifact(path, "manifest")
     try:
         cfg = GenConfig(**{f.name: doc[f.name] for f in fields(GenConfig)})
-        gap = GapInfo(
-            doc["gap_dest_id"],
-            GeoRect(*doc["gap_rect"]),
-            tuple(doc["gap_listing_ids"]),
-        )
+        ids = doc["gap_listing_ids"]
+        if not isinstance(ids, list) or not all(type(i) is int and i in _INT64 for i in ids):
+            raise ValueError("gap_listing_ids is not a list of 64-bit integers")
+        gap = GapInfo(doc["gap_dest_id"], GeoRect(*doc["gap_rect"]), tuple(ids))
         popularity = np.asarray(doc["popularity"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"manifest {path} has a missing or bad field: {exc!r}") from None
     destinations = read_destinations(os.path.join(data_dir, "destinations.tsv"))
     if gap.dest_id not in {d.dest_id for d in destinations}:

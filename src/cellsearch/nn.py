@@ -84,8 +84,10 @@ class TrunkSpec:
 
     emb_names orders the embedding tables; emb_rows gives each table's
     row count (vocabulary size including the unknown row). embed_dim and
-    hidden come from a TrunkConfig, which has checked them; the tables
-    may come from a checkpoint header, so they are checked here.
+    hidden come from a TrunkConfig, which has checked their values; the
+    tables may come from a checkpoint header, so they are checked here,
+    and every dimension must be a Python int, so a layout size is never
+    computed from a float, a bool or a negative number.
     """
 
     emb_names: tuple[str, ...]
@@ -97,6 +99,10 @@ class TrunkSpec:
     def __post_init__(self):
         if len(self.emb_names) != len(self.emb_rows):
             raise ConfigError("emb_names and emb_rows length mismatch")
+        if any(type(d) is not int for d in (*self.emb_rows, self.emb_dim, self.n_continuous, *self.hidden)):
+            raise ConfigError("trunk dimensions must be integers")
+        if any(rows < 1 for rows in self.emb_rows) or self.n_continuous < 0:
+            raise ConfigError("emb_rows must be >= 1 and n_continuous >= 0")
         if not self.emb_names and self.n_continuous == 0:
             raise ConfigError("trunk has no inputs")
 

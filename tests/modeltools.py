@@ -1,6 +1,7 @@
 """Tiny synthetic models and batches shared by the model-layer tests."""
 
 import copy
+import json
 
 import numpy as np
 
@@ -90,6 +91,15 @@ def tiny_fit(kind, n=32, seed=0, data_seed=1, **cfg_kw):
         lambda: model.fit(batch, targets),
         lambda: model.eval_loss(batch.take(val_rows), targets[val_rows])[0],
     )
+
+
+def edit_checkpoint_echo(path, **changes):
+    """Rewrite the config line of a checkpoint file with the given echo
+    fields set, keeping every other byte."""
+    magic, kind, config, rest = path.read_bytes().split(b"\n", 3)
+    echo = dict(json.loads(config.removeprefix(b"config ")), **changes)
+    config = b"config " + json.dumps(echo, sort_keys=True).encode()
+    path.write_bytes(b"\n".join([magic, kind, config, rest]))
 
 
 def tiny_batch(model, n, seed=1, targets=None):

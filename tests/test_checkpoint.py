@@ -5,108 +5,101 @@ import json
 
 import numpy as np
 import pytest
-from modeltools import make_vocab, tiny_batch, tiny_bounds, tiny_model
+from modeltools import edit_checkpoint_echo, make_vocab, tiny_batch, tiny_bounds, tiny_model
 
 from cellsearch.checkpoint import (
     load_baseline,
-    load_checkpoint,
     load_model,
     model_config_echo,
     save_baseline,
-    save_checkpoint,
     save_model,
 )
-from cellsearch.errors import ConfigError, DataError
+from cellsearch.errors import DataError
+from cellsearch.nn import trunk_layout
 
 
-def sample_tensors():
-    rng = np.random.default_rng(0)
-    return {
-        "alpha": rng.normal(size=(3, 4)).astype(np.float32),
-        "beta": rng.normal(size=(4,)).astype(np.float32),
-    }
+def saved_model(tmp_path, name="m.ckpt"):
+    """A tiny float32 classifier and the path it was saved to."""
+    model = tiny_model(dtype="float32", num_negatives=2)
+    path = tmp_path / name
+    save_model(path, model)
+    return model, path
 
 
 def test_round_trip_preserves_everything(tmp_path):
-    path = tmp_path / "m.ckpt"
-    config = {"widgets": 3, "name": "x"}
-    tensors = sample_tensors()
-    save_checkpoint(path, "cell_classifier", config, tensors)
-    kind, got_config, got = load_checkpoint(path)
-    assert kind == "cell_classifier"
-    assert got_config == config
-    assert list(got) == ["alpha", "beta"]
-    for name in tensors:
-        np.testing.assert_array_equal(got[name], tensors[name])
-        assert got[name].dtype == np.float32
+    model = tiny_bounds(seed=5, dtype="float32")
+    model.trained = True
+    path = tmp_path / "b.ckpt"
+    save_baseline(path, model)
+    got = load_baseline(path)
+    assert (got.config, got.spec, got.trained) == (model.config, model.spec, True)
+    assert list(got.params) == list(model.params)
+    for name in model.params:
+        np.testing.assert_array_equal(got.params[name], model.params[name])
+        assert got.params[name].dtype == np.float32
 
 
 def test_header_is_readable_text(tmp_path):
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, "bounds_regressor", {"a": 1}, sample_tensors())
-    raw = path.read_bytes()
-    head = raw.split(b"end\n")[0].decode("utf-8").splitlines()
+    model = tiny_bounds()
+    path = tmp_path / "b.ckpt"
+    save_baseline(path, model)
+    head = path.read_bytes().split(b"\nend\n")[0].decode("utf-8").splitlines()
     assert head[0] == "cellsearch-checkpoint 1"
     assert head[1] == "kind bounds_regressor"
-    assert json.loads(head[2][len("config ") :]) == {"a": 1}
-    assert head[3] == "tensor alpha float32 3 4"
-    assert head[4] == "tensor beta float32 4"
+    echo = json.loads(head[2][len("config ") :])
+    assert (echo["trained"], echo["emb_rows"], echo["n_continuous"]) == (False, [4], 2)
+    assert head[3] == "tensor emb_kind float32 4 3"
+    assert head[4] == "tensor w1 float32 5 5"
+    assert head[-1] == "tensor out_b float32 4"
+    assert len(head) == 3 + len(trunk_layout(model.spec, 4))
 
 
 def test_save_twice_is_byte_identical(tmp_path):
-    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    tensors = sample_tensors()
-    save_checkpoint(a, "cell_classifier", {"k": [1, 2]}, tensors)
-    save_checkpoint(b, "cell_classifier", {"k": [1, 2]}, tensors)
+    model, a = saved_model(tmp_path, "a.ckpt")
+    b = tmp_path / "b.ckpt"
+    save_model(b, model)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_corruption_is_rejected(tmp_path):
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, "cell_classifier", {}, sample_tensors())
+    model, path = saved_model(tmp_path)
     raw = path.read_bytes()
-
-    truncated = tmp_path / "t.ckpt"
-    truncated.write_bytes(raw[:-8])
-    with pytest.raises(DataError):
-        load_checkpoint(truncated)
-
-    padded = tmp_path / "p.ckpt"
-    padded.write_bytes(raw + b"\x00\x00\x00\x00")
-    with pytest.raises(DataError):
-        load_checkpoint(padded)
-
-    bad_magic = tmp_path / "bm.ckpt"
-    bad_magic.write_bytes(b"something-else 1\n" + raw.split(b"\n", 1)[1])
-    with pytest.raises(DataError):
-        load_checkpoint(bad_magic)
-
-    bad_kind = tmp_path / "bk.ckpt"
-    bad_kind.write_bytes(raw.replace(b"kind cell_classifier", b"kind mystery"))
-    with pytest.raises(DataError):
-        load_checkpoint(bad_kind)
-
-    bad_dtype = tmp_path / "bd.ckpt"
-    bad_dtype.write_bytes(raw.replace(b"alpha float32", b"alpha float64"))
-    with pytest.raises(DataError):
-        load_checkpoint(bad_dtype)
-
-    no_end = tmp_path / "ne.ckpt"
-    no_end.write_bytes(raw.split(b"end\n")[0])
-    with pytest.raises(DataError):
-        load_checkpoint(no_end)
+    header = len(raw.split(b"\nend\n")[0]) + len(b"\nend\n")
+    payload = len(raw) - header
+    differs = "checkpoint header differs from the one its config renders"
+    cases = [
+        (raw[:-8], f"checkpoint payload has {payload - 8} bytes, expected {payload}"),
+        (raw + b"\x00" * 4, f"checkpoint payload has {payload + 4} bytes, expected {payload}"),
+        (b"something-else 1\n" + raw.split(b"\n", 1)[1], "not a recognized checkpoint file"),
+        (b"", "not a recognized checkpoint file"),
+        (raw.replace(b"kind cell_classifier", b"kind mystery"), "expected a cell_classifier checkpoint, got 'mystery'"),
+        (raw.replace(b"config {", b"config {{"), "checkpoint config has a missing or bad field"),
+        (raw.replace(b"config {", b"config " + b"[" * 100_000), "checkpoint config has a missing or bad field"),
+        (raw.replace(b"w1 float32", b"w1 float64"), differs),
+        (raw.replace(b"w1 float32 5 5", b"w1 float32 4294967296 4294967296"), differs),
+        (raw.replace(b"out_b float32 7", b"out_b float32 9223372036854775808"), differs),
+        (raw.split(b"end\n")[0], differs),
+        (raw[: header - 1], differs),
+    ]
+    bad = tmp_path / "bad.ckpt"
+    for damaged, message in cases:
+        bad.write_bytes(damaged)
+        with pytest.raises(DataError) as err:
+            load_model(bad, model.vocab)
+        assert str(err.value).startswith(f"{bad}: {message}")
 
 
-def test_save_rejects_bad_kind_and_names(tmp_path):
-    with pytest.raises(ConfigError):
-        save_checkpoint(tmp_path / "x.ckpt", "mystery", {}, sample_tensors())
-    with pytest.raises(ConfigError):
-        save_checkpoint(
-            tmp_path / "y.ckpt",
-            "cell_classifier",
-            {},
-            {"bad name": np.zeros(2, dtype=np.float32)},
-        )
+def test_load_rejects_tensor_names_the_layout_does_not_give(tmp_path):
+    # Saving writes whatever parameters a model holds; only the names and
+    # order of trunk_layout load.
+    model, path = saved_model(tmp_path)
+    params = model.params
+    names = list(params)
+    for order in (["bad name", *names[1:]], [*names[1:], names[0]], names[:-1]):
+        model.params = {name: params.get(name, np.zeros(3)) for name in order}
+        save_model(path, model)
+        with pytest.raises(DataError, match="header differs"):
+            load_model(path, model.vocab)
 
 
 def test_model_round_trip_float32(tmp_path):
@@ -154,12 +147,23 @@ def test_model_load_validates_vocab(tmp_path):
 
 
 def test_model_load_rejects_bad_echo_field(tmp_path):
-    model = tiny_model(num_negatives=2)
-    path = tmp_path / "model.ckpt"
-    for field, value in (("hidden", 5), ("learning_rate", -1.0), ("seed", -1), ("n_continuous", "2")):
-        echo = dict(model_config_echo(model), **{field: value})
-        save_checkpoint(path, "cell_classifier", echo, model.params)
+    for field, value in (
+        ("hidden", 5), ("learning_rate", -1.0), ("seed", -1), ("n_continuous", "2"),
+        ("n_continuous", -1), ("emb_rows", [0]), ("emb_rows", [4.0]), ("embed_dim", 3.0),
+    ):
+        model, path = saved_model(tmp_path)
+        edit_checkpoint_echo(path, **{field: value})
         with pytest.raises(DataError, match="bad field"):
+            load_model(path, model.vocab)
+
+
+def test_load_rejects_an_echo_that_saving_does_not_write(tmp_path):
+    # A trained flag that is not a JSON boolean, or a key no model echoes,
+    # makes the header differ from the one its config renders.
+    for changes in ({"trained": 1}, {"trained": "false"}, {"extra": 1}):
+        model, path = saved_model(tmp_path)
+        edit_checkpoint_echo(path, **changes)
+        with pytest.raises(DataError, match="header differs"):
             load_model(path, model.vocab)
 
 
@@ -178,14 +182,15 @@ def test_load_rejects_a_tensor_shape_the_header_does_not_give(tmp_path, kind):
     save(path, model)
     with pytest.raises(DataError) as err:
         load(path)
-    assert str(err.value) == f"{path}: checkpoint tensor shapes do not match the model layout"
+    assert str(err.value) == f"{path}: checkpoint header differs from the one its config renders"
 
 
 def test_model_load_rejects_other_kind(tmp_path):
-    model = tiny_model(num_negatives=2)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, "bounds_regressor", model_config_echo(model), model.params)
-    with pytest.raises(DataError):
+    model, path = saved_model(tmp_path)
+    with pytest.raises(DataError, match="expected a bounds_regressor checkpoint, got 'cell_classifier'"):
+        load_baseline(path)
+    save_baseline(path, tiny_bounds())
+    with pytest.raises(DataError, match="expected a cell_classifier checkpoint, got 'bounds_regressor'"):
         load_model(path, model.vocab)
 
 

@@ -10,17 +10,18 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from modeltools import edit_checkpoint_echo
 from smallworld import SMALL, SMALL_BOUNDS, SMALL_TRAIN
 
 import cellsearch
 from cellsearch import cli
-from cellsearch.checkpoint import load_checkpoint, save_checkpoint
+from cellsearch.checkpoint import load_baseline, load_model, save_baseline, save_model
 from cellsearch.cli import main
 from cellsearch.datagen import load_dataset, read_events
 from cellsearch.errors import NumericError
 from cellsearch.evaluation import format_report, run_compare
 from cellsearch.features import SHARDS, encode_events, fit_pipeline
-from cellsearch.labels import build_vocab
+from cellsearch.labels import build_vocab, load_vocab
 from cellsearch.model import ShardModel
 from cellsearch.s2geom import cell_from_latlng
 
@@ -456,15 +457,60 @@ def _set_json(value, *keys):
 
 
 def _pad_tensor(name, axis, extra):
-    """Rewrite a checkpoint with `extra` zero slices added to one tensor
-    along `axis`, keeping its header's config."""
+    """Re-save a checkpoint with `extra` zero slices added to one
+    parameter along `axis`, keeping its header's config."""
 
     def garble(path):
-        kind, echo, tensors = load_checkpoint(path)
-        pad = [(0, 0)] * tensors[name].ndim
+        if path.name == "baseline.ckpt":
+            model, save = load_baseline(path), save_baseline
+        else:
+            shard = path.stem.removeprefix("model_")
+            vocab = load_vocab(path.parent / f"vocab_{shard}.txt", shard)
+            model, save = load_model(path, vocab), save_model
+        pad = [(0, 0)] * model.params[name].ndim
         pad[axis] = (0, extra)
-        tensors[name] = np.pad(tensors[name], pad)
-        save_checkpoint(path, kind, echo, tensors)
+        model.params[name] = np.pad(model.params[name], pad)
+        save(path, model)
+
+    return garble
+
+
+def _set_tensor_dims(name, dims):
+    """Rewrite the dims of one tensor line of a checkpoint header."""
+
+    def garble(path):
+        line = re.compile(rb"^tensor %s float32 .*$" % name.encode(), re.MULTILINE)
+        path.write_bytes(line.sub(b"tensor %s float32 %s" % (name.encode(), dims.encode()), path.read_bytes(), 1))
+
+    return garble
+
+
+def _replace_bytes(old, new):
+    def garble(path):
+        raw = path.read_bytes()
+        assert old in raw
+        path.write_bytes(raw.replace(old, new, 1))
+
+    return garble
+
+
+def _set_echo(**changes):
+    return lambda path: edit_checkpoint_echo(path, **changes)
+
+
+def _empty_first_table(path):
+    """Set the first embedding table's row count in a checkpoint's echo to 0."""
+    config = path.read_bytes().split(b"\n", 3)[2]
+    rows = json.loads(config.removeprefix(b"config "))["emb_rows"]
+    edit_checkpoint_echo(path, emb_rows=[0, *rows[1:]])
+
+
+def _resize(delta):
+    """Cut (delta < 0) or pad with zero bytes (delta > 0) a file's end."""
+
+    def garble(path):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:delta] if delta < 0 else raw + bytes(delta))
 
     return garble
 
@@ -498,6 +544,22 @@ def _pad_tensor(name, axis, extra):
         ("data/destinations.tsv", _overwrite_with_binary),
         ("data/eval_events.tsv", _overwrite_with_binary),
         ("data/manifest.json", _set_json(999, "gap_dest_id")),
+        ("baseline.ckpt", _set_tensor_dims("w1", "4294967296 4294967296")),
+        ("model_EU.ckpt", _set_tensor_dims("out_b", str(2**63))),
+        ("model_EU.ckpt", _replace_bytes(b" w1 float32 ", b" w1 float64 ")),
+        ("model_EU.ckpt", _set_echo(extra=1)),
+        ("model_EU.ckpt", _set_echo(trained=1)),
+        ("baseline.ckpt", _empty_first_table),
+        ("model_EU.ckpt", _resize(-8)),
+        ("baseline.ckpt", _resize(4)),
+        ("data/manifest.json", _set_json([1e300], "gap_listing_ids")),
+        ("data/manifest.json", _set_json([2**70], "gap_listing_ids")),
+        ("data/manifest.json", _set_json("abc", "gap_listing_ids")),
+        ("data/manifest.json", _set_json([None], "gap_listing_ids")),
+        ("data/manifest.json", _set_json([[1]], "gap_listing_ids")),
+        ("data/manifest.json", _set_json([2**2000], "popularity")),
+        ("data/manifest.json", lambda path: path.write_text("[" * 100_000)),
+        ("pipeline.json", lambda path: path.write_text("[" * 100_000)),
     ],
     ids=[
         "vocab-garbled",
@@ -525,6 +587,22 @@ def _pad_tensor(name, axis, extra):
         "destinations-binary",
         "eval-events-binary",
         "manifest-unknown-gap-destination",
+        "baseline-dims-past-int64",
+        "checkpoint-dim-2-pow-63",
+        "checkpoint-float64-tensor",
+        "checkpoint-extra-echo-key",
+        "checkpoint-trained-not-boolean",
+        "baseline-zero-row-table",
+        "checkpoint-cut-8-bytes",
+        "baseline-padded-4-bytes",
+        "manifest-band-id-huge-float",
+        "manifest-band-id-past-int64",
+        "manifest-band-ids-a-string",
+        "manifest-band-id-null",
+        "manifest-band-ids-nested",
+        "manifest-popularity-past-float",
+        "manifest-deeply-nested",
+        "pipeline-deeply-nested",
     ],
 )
 def test_damaged_artifact_is_a_data_error(pipeline_dir, tmp_path, name, garble):
@@ -552,7 +630,7 @@ def test_sweep_on_a_mis_shaped_checkpoint_is_a_data_error(pipeline_dir, tmp_path
     proc = _run_cli("sweep", own_cfg)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == (
-        f"data error: {copy / 'model_EU.ckpt'}: checkpoint tensor shapes do not match the model layout\n"
+        f"data error: {copy / 'model_EU.ckpt'}: checkpoint header differs from the one its config renders\n"
     )
     assert _tree(copy) == before
 

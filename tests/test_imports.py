@@ -19,7 +19,9 @@ which builds the listing store, and `index`, which applies the rule,
 read a `.capacities` or `.active` attribute. The trunk's parameter
 layout has one owner, `nn.trunk_layout`: the names `"out_w"`, `"out_b"`
 and `"w1"` are spelled only in `nn`, which lays the parameters out, and
-in `model` and `baseline`, which compute with them. Every (module,
+in `model` and `baseline`, which compute with them. The checkpoint file
+format has one owner: the payload dtype `"<f4"` and the `"tensor "`
+prefix of a header line are spelled only in `checkpoint`. Every (module,
 attribute) the
 benchmark's tracer wraps (`TARGETS` in `bench/tracing.py`, read as
 source) names something the package has, since `Tracer.install` fails
@@ -47,6 +49,8 @@ SEAT_COLUMNS = ("capacities", "active")
 # Parameter names of the trunk layout that only the modules computing
 # with the parameters spell out.
 LAYOUT_NAMES = ("out_w", "out_b", "w1")
+# The checkpoint payload dtype and the prefix of a header tensor line.
+CHECKPOINT_DTYPE, TENSOR_PREFIX = "<f4", "tensor "
 # The name of a public module-level constant.
 CONSTANT_NAME = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
@@ -107,8 +111,9 @@ def format_marks(source: str) -> list:
     for an assignment to that name, "format_version" for a string of that
     text, "hilbert" for an import of the hilbert module, the field's name
     for a class field named in TRUNK_FIELDS, "seats" for a read of an
-    attribute named in SEAT_COLUMNS, and "layout" for a string named in
-    LAYOUT_NAMES."""
+    attribute named in SEAT_COLUMNS, "layout" for a string named in
+    LAYOUT_NAMES, and "checkpoint" for a string (or f-string part) that is
+    CHECKPOINT_DTYPE or starts with TENSOR_PREFIX."""
     marks = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -118,6 +123,10 @@ def format_marks(source: str) -> list:
             marks.append((node.lineno, "format_version"))
         elif isinstance(node, ast.Constant) and node.value in LAYOUT_NAMES:
             marks.append((node.lineno, "layout"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+            node.value == CHECKPOINT_DTYPE or node.value.startswith(TENSOR_PREFIX)
+        ):
+            marks.append((node.lineno, "checkpoint"))
         elif isinstance(node, ast.Import):
             marks += [(node.lineno, "hilbert") for a in node.names if "hilbert" in a.name.split(".")]
         elif isinstance(node, ast.ImportFrom):
@@ -220,8 +229,18 @@ def test_scan_flags_layout_names():
     assert sorted(format_marks(source)) == [(1, "layout"), (1, "layout"), (2, "layout"), (3, "layout")]
 
 
+def test_scan_flags_checkpoint_format():
+    source = (
+        "a = np.frombuffer(raw, dtype='<f4')\nline = f'tensor {name} float32 {shape}'\n"
+        "b = x.astype('<f8')\nc = 'a tensor '\nd = b'tensor w1'\ne = 'tensor'\n"
+    )
+    assert sorted(format_marks(source)) == [(1, "checkpoint"), (2, "checkpoint")]
+
+
 def test_each_format_has_one_owner():
-    owners = {mark: [] for mark in ("EVAL_CHUNK", "format_version", "hilbert", "seats", "layout", *TRUNK_FIELDS)}
+    owners = {
+        mark: [] for mark in ("EVAL_CHUNK", "format_version", "hilbert", "seats", "layout", "checkpoint", *TRUNK_FIELDS)
+    }
     for path in SOURCES:
         if not path.startswith(os.path.join(REPO, "src", "")):
             continue
@@ -233,6 +252,7 @@ def test_each_format_has_one_owner():
     assert owners["hilbert"] == ["src/cellsearch/s2geom/cellid.py"]
     assert set(owners["seats"]) == {"src/cellsearch/datagen.py", "src/cellsearch/index.py"}
     assert set(owners["layout"]) == {f"src/cellsearch/{m}.py" for m in ("nn", "model", "baseline")}
+    assert set(owners["checkpoint"]) == {"src/cellsearch/checkpoint.py"}
     for name in TRUNK_FIELDS:
         assert owners[name] == ["src/cellsearch/nn.py"], name
 
